@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all vet lint build test race benchsmoke benchdiff benchdiff-parallel benchdiff-server server-smoke crash-smoke fuzz-smoke check bench-core bench-parallel bench-server bench-server-parallel clean
+.PHONY: all vet lint build test test-repeat race benchsmoke benchdiff benchdiff-parallel benchdiff-server server-smoke crash-smoke fuzz-smoke check bench-core bench-parallel bench-server bench-server-parallel clean
 
 all: check
 
@@ -30,6 +30,18 @@ build:
 # cannot hide.
 test:
 	$(GO) test -shuffle=on ./...
+
+# Repeat the packages whose tests race real goroutines against each other
+# (the LLX/SCX core, the template engine, the five LLX/SCX structures, the
+# shard layer and the experiment harness) three times in one process.
+# Interleaving-dependent failures — a late helper's update CAS landing on a
+# recurring value, the finalized-spin guard misfiring, a test leaking an
+# epoch announcement into the next repetition — show up here long before a
+# single shuffled pass catches them.
+test-repeat:
+	$(GO) test -count=3 ./internal/core ./internal/template ./internal/queue \
+		./internal/stack ./internal/trie ./internal/bst ./internal/multiset \
+		./internal/shard ./internal/harness
 
 # The step-semantics, helping and linearizability tests exercise real
 # concurrency; run the core, template and multiset packages plus the
@@ -109,7 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
-check: lint build test race benchsmoke benchdiff server-smoke crash-smoke fuzz-smoke
+check: lint build test test-repeat race benchsmoke benchdiff server-smoke crash-smoke fuzz-smoke
 
 # Regenerate the checked-in core fast-path microbenchmark dump.
 bench-core:

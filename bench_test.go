@@ -26,6 +26,7 @@ func BenchmarkStepCountSCX(b *testing.B) {
 		for _, f := range []int{0, k} {
 			b.Run(fmt.Sprintf("k=%d/f=%d", k, f), func(b *testing.B) {
 				p := core.NewProcess()
+				var snap core.Fields
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -34,15 +35,16 @@ func BenchmarkStepCountSCX(b *testing.B) {
 					// be reused.
 					recs := make([]*core.Record, k)
 					for j := range recs {
-						recs[j] = core.NewRecord(2, []any{j, nil})
+						recs[j] = core.NewTypedRecord(2, 0)
+						recs[j].SetWord(0, uint64(j))
 					}
 					b.StartTimer()
 					for _, r := range recs {
-						if _, st := p.LLX(r); st != core.LLXOK {
+						if st := p.LLXFields(r, &snap); st != core.LLXOK {
 							b.Fatal("LLX failed")
 						}
 					}
-					if !p.SCX(recs, recs[k-f:], recs[0].Field(1), i) {
+					if !p.SCXWord(recs, recs[k-f:], recs[0].WordField(1), 1) {
 						b.Fatal("SCX failed")
 					}
 				}
@@ -61,9 +63,10 @@ func BenchmarkVLX(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			p := core.NewProcess()
 			recs := make([]*core.Record, k)
+			var snap core.Fields
 			for j := range recs {
-				recs[j] = core.NewRecord(1, []any{j})
-				if _, st := p.LLX(recs[j]); st != core.LLXOK {
+				recs[j] = core.NewTypedRecord(1, 0)
+				if st := p.LLXFields(recs[j], &snap); st != core.LLXOK {
 					b.Fatal("LLX failed")
 				}
 			}
@@ -80,13 +83,9 @@ func BenchmarkVLX(b *testing.B) {
 }
 
 // BenchmarkLLXSnapshot times an uncontended LLX snapshot of a 2-field record
-// through the snapshot-reuse API (0 allocs/op). The body is shared with
+// into a caller-owned Fields (0 allocs/op). The body is shared with
 // cmd/bench -corejson via internal/benchcore.
-func BenchmarkLLXSnapshot(b *testing.B) { benchcore.LLXInto(b) }
-
-// BenchmarkLLXSnapshotAlloc is the allocating compatibility wrapper, for
-// comparison with BenchmarkLLXSnapshot.
-func BenchmarkLLXSnapshotAlloc(b *testing.B) { benchcore.LLXAlloc(b) }
+func BenchmarkLLXSnapshot(b *testing.B) { benchcore.LLXSnapshot(b) }
 
 // BenchmarkFieldRead times the plain read the paper's Proposition 2 lets
 // searches use in place of LLX.
@@ -110,19 +109,17 @@ func BenchmarkDisjointSCX(b *testing.B) { benchcore.DisjointSCX(b) }
 // BenchmarkSharedSCX runs SCX retry loops against one shared record — the
 // contended counterpoint to BenchmarkDisjointSCX.
 func BenchmarkSharedSCX(b *testing.B) {
-	r := core.NewRecord(1, []any{0})
+	r := core.NewTypedRecord(1, 0)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		p := core.NewProcess()
-		buf := make(core.Snapshot, 1)
+		var snap core.Fields
 		for pb.Next() {
 			for {
-				var st core.LLXStatus
-				buf, st = p.LLXInto(r, buf)
-				if st != core.LLXOK {
+				if st := p.LLXFields(r, &snap); st != core.LLXOK {
 					continue
 				}
-				if p.SCX([]*core.Record{r}, nil, r.Field(0), buf[0].(int)+1) {
+				if p.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 					break
 				}
 			}

@@ -41,8 +41,7 @@ type coreBench struct {
 
 func coreBenchmarks() []coreBench {
 	benches := []coreBench{
-		{"llx_into", false, benchcore.LLXInto},
-		{"llx_alloc", false, benchcore.LLXAlloc},
+		{"llx_into", false, benchcore.LLXSnapshot},
 		{"field_read", false, benchcore.FieldRead},
 		{"disjoint_scx_parallel", true, benchcore.DisjointSCX},
 	}

@@ -4,7 +4,7 @@
 // the paper's multiset running example, an LLX/SCX external binary search
 // tree, the baselines the paper compares against (LL/SC, KCSS, multi-word
 // CAS, lock-based lists), and a harness that regenerates every measurable
-// claim in the paper. DESIGN.md documents the record/box memory layout, the
+// claim in the paper. DESIGN.md documents the typed-word record layout, the
 // ABA argument, the allocation-free fast path, and the template engine +
 // process runtime; BENCH_core.json is the checked-in machine-readable
 // microbenchmark dump (regenerate with cmd/bench -corejson).

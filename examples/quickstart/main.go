@@ -3,7 +3,9 @@
 // This example mirrors the paper's Section 3 walk-through: create a
 // Data-record with mutable fields, snapshot it with LLX, update one field
 // with SCX, watch a conflicting SCX fail, and finalize a record so it can
-// never change again.
+// never change again. Fields are typed words, and the paper requires that a
+// field is never given a value it held before, so every update here writes
+// a larger count.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -15,11 +17,11 @@ import (
 )
 
 func main() {
-	// A Data-record with two mutable fields (count, note) and one immutable
-	// field (its name).
-	rec := core.NewRecord(2, []any{0, "fresh"}, "demo-record")
-	fmt.Printf("record %q starts with count=%v note=%q\n",
-		rec.Immutable(0), rec.Read(0), rec.Read(1))
+	// A Data-record with two mutable word fields (hits, edits). Immutable
+	// data (here, its name) lives in whatever embeds the record.
+	const name = "demo-record"
+	rec := core.NewTypedRecord(2, 0)
+	fmt.Printf("record %q starts with hits=%d edits=%d\n", name, rec.Word(0), rec.Word(1))
 
 	// Each participating goroutine acquires a Handle from the shared pool;
 	// the Handle's Process holds its table of LLX results (the links SCX
@@ -32,42 +34,44 @@ func main() {
 	alice := ah.Process()
 	bob := bh.Process()
 
-	// Alice snapshots the record and bumps its count with an SCX that
+	// Alice snapshots the record and bumps its hits with an SCX that
 	// depends on that snapshot.
-	snap, st := alice.LLX(rec)
-	fmt.Printf("alice LLX -> %v %v\n", snap, st)
-	ok := alice.SCX([]*core.Record{rec}, nil, rec.Field(0), snap[0].(int)+1)
-	fmt.Printf("alice SCX(count := %d) -> %v; count is now %v\n",
-		snap[0].(int)+1, ok, rec.Read(0))
+	var snap, bobSnap core.Fields
+	st := alice.LLXFields(rec, &snap)
+	fmt.Printf("alice LLX -> [%d %d] %v\n", snap.Word(0), snap.Word(1), st)
+	ok := alice.SCXWord([]*core.Record{rec}, nil, rec.WordField(0), snap.Word(0)+1)
+	fmt.Printf("alice SCX(hits := %d) -> %v; hits is now %d\n", snap.Word(0)+1, ok, rec.Word(0))
 
-	// Bob linked BEFORE alice's update, so his SCX must fail: the record
-	// changed since his LLX. That failed SCX writes nothing.
-	bobSnap, _ := bob.LLX(rec)
-	_ = bobSnap
+	// Bob linked BEFORE alice's next update, so his SCX must fail: the
+	// record changed since his LLX. That failed SCX writes nothing.
+	bob.LLXFields(rec, &bobSnap)
 	// ... meanwhile alice updates again ...
-	snap, _ = alice.LLX(rec)
-	alice.SCX([]*core.Record{rec}, nil, rec.Field(1), "updated-by-alice")
-	ok = bob.SCX([]*core.Record{rec}, nil, rec.Field(1), "updated-by-bob")
-	fmt.Printf("bob's stale SCX -> %v; note is %q\n", ok, rec.Read(1))
+	alice.LLXFields(rec, &snap)
+	alice.SCXWord([]*core.Record{rec}, nil, rec.WordField(1), snap.Word(1)+1)
+	ok = bob.SCXWord([]*core.Record{rec}, nil, rec.WordField(1), bobSnap.Word(1)+10)
+	fmt.Printf("bob's stale SCX -> %v; edits is %d\n", ok, rec.Word(1))
 
 	// VLX validates that a set of records is unchanged since the links.
-	a := core.NewRecord(1, []any{10}, "a")
-	b := core.NewRecord(1, []any{20}, "b")
-	alice.LLX(a)
-	alice.LLX(b)
+	a := core.NewTypedRecord(1, 0)
+	a.SetWord(0, 10)
+	b := core.NewTypedRecord(1, 0)
+	b.SetWord(0, 20)
+	var sa, sb core.Fields
+	alice.LLXFields(a, &sa)
+	alice.LLXFields(b, &sb)
 	fmt.Printf("alice VLX(a,b) with nothing changed -> %v\n", alice.VLX([]*core.Record{a, b}))
-	bs, _ := bob.LLX(b)
-	bob.SCX([]*core.Record{b}, nil, b.Field(0), bs[0].(int)+1)
+	bob.LLXFields(b, &sb)
+	bob.SCXWord([]*core.Record{b}, nil, b.WordField(0), sb.Word(0)+1)
 	fmt.Printf("alice VLX(a,b) after bob touched b -> %v\n", alice.VLX([]*core.Record{a, b}))
 
 	// SCX can atomically update one record AND finalize others — the paper's
-	// key extension over LL/SC. Here alice moves a's value into b's
-	// successor slot and retires a forever.
-	alice.LLX(a)
-	alice.LLX(b)
-	ok = alice.SCX([]*core.Record{b, a}, []*core.Record{a}, b.Field(0), "moved")
-	fmt.Printf("alice finalizing SCX -> %v; a finalized? %v\n", ok, a.Finalized())
-	if _, st := bob.LLX(a); st == core.LLXFinalized {
+	// key extension over LL/SC. Here alice adds a's value into b and retires
+	// a forever.
+	alice.LLXFields(a, &sa)
+	alice.LLXFields(b, &sb)
+	ok = alice.SCXWord([]*core.Record{b, a}, []*core.Record{a}, b.WordField(0), sb.Word(0)+sa.Word(0))
+	fmt.Printf("alice finalizing SCX -> %v; b is now %d; a finalized? %v\n", ok, b.Word(0), a.Finalized())
+	if st := bob.LLXFields(a, &sa); st == core.LLXFinalized {
 		fmt.Println("bob's LLX(a) reports Finalized: a can never change again")
 	}
 }

@@ -9,6 +9,12 @@
 // could tear across many transfers and report totals above the grand total;
 // the VLX-validated snapshots cannot.
 //
+// A balance goes up and down, so it can return to a value it held before,
+// which the paper's SCX forbids (Section 4.1). Each account's word field
+// therefore packs a version in its high 32 bits above the balance in its
+// low 32 bits: every update bumps the version, so the word only ever
+// increases.
+//
 // Run with: go run ./examples/snapshot
 package main
 
@@ -29,10 +35,11 @@ const (
 )
 
 func main() {
-	// One record per account; field 0 is the balance.
+	// One record per account; word 0 is the versioned balance.
 	recs := make([]*core.Record, accounts)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{initialBalance}, fmt.Sprintf("acct-%d", i))
+		recs[i] = core.NewTypedRecord(1, 0)
+		recs[i].SetWord(0, pack(0, initialBalance))
 	}
 
 	// Writers move money with single-record SCXs: debit one account, then
@@ -67,15 +74,15 @@ func main() {
 	p := ah.Process()
 	var audits, validated int
 	minTotal, maxTotal := 1<<62, -1
+	snaps := make([]core.Fields, accounts)
 	for validated < 300 {
 		audits++
-		snaps, ok := p.SnapshotAll(recs)
-		if !ok {
+		if !p.SnapshotAll(recs, snaps) {
 			continue
 		}
 		total := 0
-		for _, s := range snaps {
-			total += s[0].(int)
+		for i := range snaps {
+			total += balance(snaps[i].Word(0))
 		}
 		if total < minTotal {
 			minTotal = total
@@ -100,21 +107,31 @@ func main() {
 	// Quiescent: all money accounted for.
 	total := 0
 	for _, r := range recs {
-		total += r.Read(0).(int)
+		total += balance(r.Word(0))
 	}
 	fmt.Printf("final total = %d (expected %d)\n", total, grand)
 }
 
+// pack builds an account word: version above, balance (as int32) below.
+func pack(version uint32, balance int) uint64 {
+	return uint64(version)<<32 | uint64(uint32(int32(balance)))
+}
+
+// balance extracts the balance from an account word.
+func balance(w uint64) int { return int(int32(uint32(w))) }
+
 // mutate adds delta to the account's balance. The retry loop is the
 // template engine's: the attempt body only says "snapshot, then commit the
-// incremented value".
+// new balance under the next version".
 func mutate(h *core.Handle, r *core.Record, delta int) {
 	template.Run(h, nil, nil, func(c *template.Ctx) (struct{}, template.Action) {
-		snap, st := c.LLX(r)
+		snap, st := c.LLXF(r)
 		if st != core.LLXOK {
 			return struct{}{}, template.Retry
 		}
-		if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+delta) {
+		w := snap.Word(0)
+		next := pack(uint32(w>>32)+1, balance(w)+delta)
+		if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), next) {
 			return struct{}{}, template.Done
 		}
 		return struct{}{}, template.Retry

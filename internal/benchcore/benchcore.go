@@ -21,10 +21,9 @@ import (
 	"pragmaprim/internal/template"
 )
 
-// LLXInto times an uncontended LLX snapshot of a 2-field typed record (one
-// word, one pointer) through the de-boxed Fields API: 0 allocs/op, no
-// boxing, no type assertions.
-func LLXInto(b *testing.B) {
+// LLXSnapshot times an uncontended LLX snapshot of a 2-field record (one
+// word, one pointer) into a caller-owned Fields: 0 allocs/op.
+func LLXSnapshot(b *testing.B) {
 	p := core.NewProcess()
 	r := core.NewTypedRecord(1, 1)
 	r.SetWord(0, 1)
@@ -39,21 +38,7 @@ func LLXInto(b *testing.B) {
 	}
 }
 
-// LLXAlloc times the legacy boxed LLX compatibility wrapper (allocates the
-// returned Snapshot and unboxes through interface values).
-func LLXAlloc(b *testing.B) {
-	p := core.NewProcess()
-	r := core.NewRecord(2, []any{1, "x"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, st := p.LLX(r); st != core.LLXOK {
-			b.Fatal("LLX failed")
-		}
-	}
-}
-
-// FieldRead times the plain de-boxed word read the paper's Proposition 2
+// FieldRead times the plain word read the paper's Proposition 2
 // lets searches use in place of LLX.
 func FieldRead(b *testing.B) {
 	r := core.NewTypedRecord(1, 1)
@@ -82,6 +67,7 @@ func DisjointSCX(b *testing.B) {
 				b.Fail()
 				return
 			}
+			// New value: one more than the field held (monotone count).
 			if !p.SCXWord([]*core.Record{r}, nil, r.WordField(0), f.Word(0)+1) {
 				b.Fail()
 				return
@@ -111,6 +97,7 @@ func SCXCycle(b *testing.B, k int) {
 				b.Fatal("LLX failed")
 			}
 		}
+		// New value: i+1, strictly larger than every earlier write.
 		if !p.SCXWord(recs, nil, recs[0].WordField(0), uint64(i)+1) {
 			b.Fatal("SCX failed")
 		}
@@ -132,6 +119,7 @@ func SCXCycleRecycled(b *testing.B) {
 		if st := p.LLXFields(r, &f); st != core.LLXOK {
 			b.Fatal("LLX failed")
 		}
+		// New value: i+1, strictly larger than every earlier write.
 		if !p.SCXWord([]*core.Record{r}, nil, r.WordField(0), uint64(i)+1) {
 			b.Fatal("SCX failed")
 		}
@@ -163,6 +151,7 @@ func TemplateSCXCycle(b *testing.B) {
 			if st != core.LLXOK {
 				b.Fatal("LLX failed")
 			}
+			// New value: one more than the field held (monotone count).
 			if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 				return struct{}{}, template.Done
 			}

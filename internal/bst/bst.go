@@ -14,9 +14,16 @@
 //     new leaf and the old leaf (SCX on ⟨parent⟩, nothing finalized).
 //   - Put of an existing key replaces the old leaf (SCX on ⟨parent, leaf⟩,
 //     finalizing the old leaf).
-//   - Delete replaces the parent with the leaf's sibling (SCX on
-//     ⟨grandparent, parent, children in left-right order⟩, finalizing the
-//     parent and the removed leaf).
+//   - Delete replaces the parent with a fresh copy of the leaf's sibling
+//     (SCX on ⟨grandparent, parent, children in left-right order⟩,
+//     finalizing the parent, the removed leaf and the sibling).
+//
+// Every child pointer the SCXs write is a fresh (or recycled) node, so no
+// field is ever given a value it held before — the paper's Section 4.1
+// rule. That is why Delete copies the sibling: the sibling itself may be
+// exactly what the grandparent's field held before the parent was spliced
+// in, and a helper stalled at that splice's update CAS would otherwise
+// re-install the removed parent.
 //
 // Searches traverse child pointers with plain reads, justified by the
 // paper's Proposition 2, under an epoch guard (removed nodes are recycled
@@ -142,6 +149,17 @@ func setLeaf[K cmp.Ordered, V any](n *node[K, V], key K, sent sentinel, val V) {
 	n.key, n.sent, n.leaf, n.val = key, sent, true, val
 	n.rec.SetPtr(fieldLeft, nil)
 	n.rec.SetPtr(fieldRight, nil)
+}
+
+// copyOf re-arms n as a copy of src, whose child pointers are taken from
+// srcSnap, src's linked LLX snapshot.
+func copyOf[K cmp.Ordered, V any](n, src *node[K, V], srcSnap *core.Fields) {
+	if src.leaf {
+		setLeaf(n, src.key, src.sent, src.val)
+		return
+	}
+	setInternal(n, src.key, src.sent,
+		(*node[K, V])(srcSnap.Ptr(fieldLeft)), (*node[K, V])(srcSnap.Ptr(fieldRight)))
 }
 
 func (t *Tree[K, V]) newInternal(l *reclaim.Local, key K, sent sentinel, left, right *node[K, V]) *node[K, V] {
@@ -297,6 +315,7 @@ func (s Session[K, V]) Put(key K, val V) bool {
 			if _, st := c.LLXF(&l.rec); st != core.LLXOK {
 				return false, template.Retry
 			}
+			// New value: a fresh leaf.
 			if c.SCXPtr([]*core.Record{&p.rec, &l.rec}, []*core.Record{&l.rec},
 				p.rec.PtrField(dir), unsafe.Pointer(n1)) {
 				if n2 != nil {
@@ -320,6 +339,7 @@ func (s Session[K, V]) Put(key K, val V) bool {
 		default:
 			setInternal(n2, key, sentReal, l, n1)
 		}
+		// New value: a fresh router.
 		if c.SCXPtr([]*core.Record{&p.rec}, nil, p.rec.PtrField(dir),
 			unsafe.Pointer(n2)) {
 			return true, template.Done
@@ -338,9 +358,13 @@ type delResult[V any] struct {
 // zero value and false if key was absent.
 func (s Session[K, V]) Delete(key K) (V, bool) {
 	t := s.t
+	var fresh *node[K, V] // the sibling's copy, built at most once per operation
 	res := template.Run(s.h, t.policy, &t.delStats, func(c *template.Ctx) (delResult[V], template.Action) {
 		g, p, l := t.search(key)
 		if !l.matches(key) {
+			if fresh != nil {
+				t.pool.Release(c.Reclaim(), fresh) // never published
+			}
 			return delResult[V]{}, template.Done
 		}
 		// A real leaf always has an internal parent and grandparent thanks
@@ -368,9 +392,14 @@ func (s Session[K, V]) Delete(key K) (V, bool) {
 		if _, st := c.LLXF(&l.rec); st != core.LLXOK {
 			return delResult[V]{}, template.Retry
 		}
-		if _, st := c.LLXF(&sib.rec); st != core.LLXOK {
+		locals, st := c.LLXF(&sib.rec)
+		if st != core.LLXOK {
 			return delResult[V]{}, template.Retry
 		}
+		if fresh == nil {
+			fresh = t.alloc(c.Reclaim())
+		}
+		copyOf(fresh, sib, locals)
 		// V lists g, p, then p's children in left-right order — an order
 		// consistent with a preorder walk, satisfying the Section 4.1
 		// total-order constraint.
@@ -380,11 +409,13 @@ func (s Session[K, V]) Delete(key K) (V, bool) {
 		} else {
 			v = []*core.Record{&g.rec, &p.rec, &sib.rec, &l.rec}
 		}
-		if c.SCXPtr(v, []*core.Record{&p.rec, &l.rec}, g.rec.PtrField(pdir),
-			unsafe.Pointer(sib)) {
+		// New value: a fresh copy of the sibling, never the sibling itself.
+		if c.SCXPtr(v, []*core.Record{&p.rec, &l.rec, &sib.rec}, g.rec.PtrField(pdir),
+			unsafe.Pointer(fresh)) {
 			val := l.val
 			t.pool.Retire(c.Reclaim(), p)
 			t.pool.Retire(c.Reclaim(), l)
+			t.pool.Retire(c.Reclaim(), sib)
 			return delResult[V]{val: val, ok: true}, template.Done
 		}
 		return delResult[V]{}, template.Retry

@@ -39,80 +39,48 @@ func newAllocMultiset() *allocMultiset {
 func (a *allocMultiset) bump() { a.s.Insert(1, 1) }
 
 // The allocation regression tests pin the fast-path allocation ceilings the
-// DESIGN.md layout promises: LLXInto with an adequate caller buffer performs
-// zero heap allocations, the LLX compatibility wrapper performs exactly one
-// (the returned Snapshot), and an LLX+SCX cycle performs exactly one (the
-// operation descriptor, which must stay fresh per SCX for ABA-safety).
-
-func TestLLXIntoAllocFree(t *testing.T) {
-	p := core.NewProcess()
-	r := core.NewRecord(2, []any{1, "x"})
-	buf := make(core.Snapshot, 2)
-	allocs := testing.AllocsPerRun(1000, func() {
-		var st core.LLXStatus
-		buf, st = p.LLXInto(r, buf)
-		if st != core.LLXOK {
-			t.Fatal("LLX failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("LLXInto with reused buffer: %v allocs/op, want 0", allocs)
-	}
-}
-
-func TestLLXWrapperAllocCeiling(t *testing.T) {
-	p := core.NewProcess()
-	r := core.NewRecord(2, []any{1, "x"})
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, st := p.LLX(r); st != core.LLXOK {
-			t.Fatal("LLX failed")
-		}
-	})
-	if allocs > 1 {
-		t.Errorf("LLX: %v allocs/op, want <= 1 (the returned Snapshot)", allocs)
-	}
-}
+// DESIGN.md layout promises: LLXFields into a caller-owned Fields performs
+// zero heap allocations, and an LLX+SCX cycle on a raw (un-announced)
+// Process performs at most one (the operation descriptor, which must stay
+// fresh per SCX for ABA-safety unless it is recycled under an epoch).
 
 func TestSCXCycleAllocCeiling(t *testing.T) {
 	p := core.NewProcess()
-	r := core.NewRecord(1, []any{0})
-	buf := make(core.Snapshot, 1)
+	r := core.NewTypedRecord(1, 0)
+	var f core.Fields
 	v := make([]*core.Record, 1)
-	newVal := any("fresh") // pre-boxed so the cycle's only allocation is the descriptor
 	allocs := testing.AllocsPerRun(1000, func() {
-		var st core.LLXStatus
-		buf, st = p.LLXInto(r, buf)
-		if st != core.LLXOK {
+		if st := p.LLXFields(r, &f); st != core.LLXOK {
 			t.Fatal("LLX failed")
 		}
 		v[0] = r
-		if !p.SCX(v, nil, r.Field(0), newVal) {
+		if !p.SCXWord(v, nil, r.WordField(0), f.Word(0)+1) {
 			t.Fatal("SCX failed")
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("LLXInto+SCX cycle: %v allocs/op, want <= 1 (the descriptor)", allocs)
+		t.Errorf("LLXFields+SCXWord cycle: %v allocs/op, want <= 1 (the descriptor)", allocs)
 	}
 }
 
 // TestTemplateRunAllocFree pins that the template engine adds zero
-// allocations over the hand-rolled loop it replaced: the LLXInto+SCX cycle
-// measured by TestSCXCycleAllocCeiling costs exactly one allocation (the
-// descriptor), and the same transaction routed through template.Run — with
-// its closure, Ctx-owned snapshot buffer, stats flush and policy hook —
-// must cost exactly the same. The Ctx itself is cached on the Handle, so
-// after the warm-up call nothing engine-side touches the heap.
+// allocations over the hand-rolled loop it replaced: the LLXFields+SCXWord
+// cycle measured by TestSCXCycleAllocCeiling costs at most one allocation
+// (the descriptor), and the same transaction routed through template.Run —
+// with its closure, Ctx-owned snapshot buffer, stats flush and policy hook
+// — must cost no more. The Ctx itself is cached on the Handle, so after the
+// warm-up call nothing engine-side touches the heap.
 func TestTemplateRunAllocFree(t *testing.T) {
 	h := core.NewHandle()
 	defer h.Release()
-	r := core.NewRecord(1, []any{0})
-	newVal := any("fresh") // pre-boxed: the cycle's only allocation is the descriptor
+	r := core.NewTypedRecord(1, 0)
 	var st template.OpStats
 	attempt := func(c *template.Ctx) (struct{}, template.Action) {
-		if _, s := c.LLX(r); s != core.LLXOK {
+		snap, s := c.LLXF(r)
+		if s != core.LLXOK {
 			t.Fatal("LLX failed")
 		}
-		if !c.SCX([]*core.Record{r}, nil, r.Field(0), newVal) {
+		if !c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 			t.Fatal("SCX failed")
 		}
 		return struct{}{}, template.Done
@@ -249,20 +217,17 @@ func TestLLXFieldsAllocFree(t *testing.T) {
 // force a heap allocation beyond the descriptor.
 func TestSCXStackLiteralVSequence(t *testing.T) {
 	p := core.NewProcess()
-	r := core.NewRecord(1, []any{0})
-	buf := make(core.Snapshot, 1)
-	newVal := any("fresh")
+	r := core.NewTypedRecord(1, 0)
+	var f core.Fields
 	allocs := testing.AllocsPerRun(1000, func() {
-		var st core.LLXStatus
-		buf, st = p.LLXInto(r, buf)
-		if st != core.LLXOK {
+		if st := p.LLXFields(r, &f); st != core.LLXOK {
 			t.Fatal("LLX failed")
 		}
-		if !p.SCX([]*core.Record{r}, nil, r.Field(0), newVal) {
+		if !p.SCXWord([]*core.Record{r}, nil, r.WordField(0), f.Word(0)+1) {
 			t.Fatal("SCX failed")
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("LLXInto+SCX with literal V: %v allocs/op, want <= 1", allocs)
+		t.Errorf("LLXFields+SCXWord with literal V: %v allocs/op, want <= 1", allocs)
 	}
 }

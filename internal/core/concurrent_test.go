@@ -19,7 +19,7 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		procs = 2
 	}
 	const perProc = 500
-	r := core.NewRecord(1, []any{0})
+	r := newWords(0)
 
 	var wg sync.WaitGroup
 	for g := 0; g < procs; g++ {
@@ -29,11 +29,11 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 			p := core.NewProcess()
 			for i := 0; i < perProc; i++ {
 				for {
-					snap, st := p.LLX(r)
+					snap, st := llx(p, r)
 					if st != core.LLXOK {
 						continue
 					}
-					if p.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+					if p.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 						break
 					}
 				}
@@ -41,7 +41,7 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, want := r.Read(0).(int), procs*perProc; got != want {
+	if got, want := r.Word(0), uint64(procs*perProc); got != want {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, want)
 	}
 }
@@ -55,7 +55,7 @@ func TestConcurrentDisjointAllSucceed(t *testing.T) {
 
 	recs := make([]*core.Record, procs)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{0})
+		recs[i] = newWords(0)
 	}
 
 	metrics := make([]*core.Metrics, procs)
@@ -67,12 +67,12 @@ func TestConcurrentDisjointAllSucceed(t *testing.T) {
 			p := core.NewProcess()
 			r := recs[g]
 			for i := 0; i < perProc; i++ {
-				snap, st := p.LLX(r)
+				snap, st := llx(p, r)
 				if st != core.LLXOK {
 					t.Errorf("proc %d: LLX on private record = %v", g, st)
 					return
 				}
-				if !p.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+				if !p.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 					t.Errorf("proc %d: SCX on disjoint record failed", g)
 					return
 				}
@@ -107,19 +107,19 @@ func TestConcurrentDisjointAllSucceed(t *testing.T) {
 // could observe field1 > field0, which LLX must never return.
 func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	const rounds = 3000
-	r := core.NewRecord(2, []any{0, 0})
+	r := newWords(0, 0)
 	done := make(chan struct{})
 
 	go func() {
 		defer close(done)
 		p := core.NewProcess()
-		for k := 1; k <= rounds; k++ {
+		for k := uint64(1); k <= rounds; k++ {
 			for f := 0; f <= 1; f++ {
 				for {
-					if _, st := p.LLX(r); st != core.LLXOK {
+					if _, st := llx(p, r); st != core.LLXOK {
 						continue
 					}
-					if p.SCX([]*core.Record{r}, nil, r.Field(f), k) {
+					if p.SCXWord([]*core.Record{r}, nil, r.WordField(f), k) {
 						break
 					}
 				}
@@ -138,11 +138,11 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 			return
 		default:
 		}
-		snap, st := p.LLX(r)
+		snap, st := llx(p, r)
 		if st != core.LLXOK {
 			continue
 		}
-		f0, f1 := snap[0].(int), snap[1].(int)
+		f0, f1 := snap.Word(0), snap.Word(1)
 		if f0 != f1 && f0 != f1+1 {
 			t.Fatalf("torn snapshot: field0=%d field1=%d", f0, f1)
 		}
@@ -155,10 +155,10 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 // must terminate (progress) with all later LLXs reporting Finalized.
 func TestConcurrentFinalizeExactlyOnce(t *testing.T) {
 	const procs = 8
-	target := core.NewRecord(1, []any{"alive"})
+	target := newWords(0)
 	dests := make([]*core.Record, procs)
 	for i := range dests {
-		dests[i] = core.NewRecord(1, []any{nil})
+		dests[i] = newWords(0)
 	}
 
 	var successes sync.Map
@@ -169,18 +169,18 @@ func TestConcurrentFinalizeExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			p := core.NewProcess()
 			for {
-				if _, st := p.LLX(dests[g]); st != core.LLXOK {
+				if _, st := llx(p, dests[g]); st != core.LLXOK {
 					continue
 				}
-				_, st := p.LLX(target)
+				_, st := llx(p, target)
 				if st == core.LLXFinalized {
 					return // someone else finalized it; done
 				}
 				if st != core.LLXOK {
 					continue
 				}
-				if p.SCX([]*core.Record{dests[g], target}, []*core.Record{target},
-					dests[g].Field(0), g) {
+				if p.SCXWord([]*core.Record{dests[g], target}, []*core.Record{target},
+					dests[g].WordField(0), uint64(g)+1) {
 					successes.Store(g, true)
 					return
 				}
@@ -209,7 +209,7 @@ func TestConcurrentOverlappingPairsProgress(t *testing.T) {
 	const nrecs = 4
 	recs := make([]*core.Record, nrecs)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{0})
+		recs[i] = newWords(0)
 	}
 
 	var wg sync.WaitGroup
@@ -225,15 +225,15 @@ func TestConcurrentOverlappingPairsProgress(t *testing.T) {
 				a := rng.Intn(nrecs - 1)
 				b := a + 1 + rng.Intn(nrecs-a-1)
 				for {
-					sa, st := p.LLX(recs[a])
+					sa, st := llx(p, recs[a])
 					if st != core.LLXOK {
 						continue
 					}
-					if _, st := p.LLX(recs[b]); st != core.LLXOK {
+					if _, st := llx(p, recs[b]); st != core.LLXOK {
 						continue
 					}
-					if p.SCX([]*core.Record{recs[a], recs[b]}, nil,
-						recs[a].Field(0), sa[0].(int)+1) {
+					if p.SCXWord([]*core.Record{recs[a], recs[b]}, nil,
+						recs[a].WordField(0), sa.Word(0)+1) {
 						break
 					}
 				}
@@ -242,11 +242,11 @@ func TestConcurrentOverlappingPairsProgress(t *testing.T) {
 	}
 	wg.Wait()
 
-	sum := 0
+	sum := uint64(0)
 	for _, r := range recs {
-		sum += r.Read(0).(int)
+		sum += r.Word(0)
 	}
-	if sum != procs*perProc {
+	if sum != uint64(procs*perProc) {
 		t.Fatalf("sum of counters = %d, want %d", sum, procs*perProc)
 	}
 }
@@ -262,31 +262,29 @@ func TestQuickSingleProcessSequential(t *testing.T) {
 		if len(vals) > 16 {
 			vals = vals[:16]
 		}
-		init := make([]any, len(vals))
-		model := make([]any, len(vals))
+		model := make([]uint64, len(vals))
 		for i, v := range vals {
-			init[i] = int(v)
-			model[i] = int(v)
+			model[i] = uint64(uint16(v))
 		}
-		r := core.NewRecord(len(vals), init)
+		r := newWords(model...)
 		p := core.NewProcess()
 		for wi, w := range writes {
 			field := int(w) % len(vals)
-			snap, st := p.LLX(r)
+			snap, st := llx(p, r)
 			if st != core.LLXOK {
 				return false
 			}
 			for i := range model {
-				if snap[i] != model[i] {
+				if snap.Word(i) != model[i] {
 					return false
 				}
 			}
-			newVal := wi*31 + field
-			if !p.SCX([]*core.Record{r}, nil, r.Field(field), newVal) {
+			newVal := model[field] + uint64(wi) + 1 // a value the field never held
+			if !p.SCXWord([]*core.Record{r}, nil, r.WordField(field), newVal) {
 				return false
 			}
 			model[field] = newVal
-			if r.Read(field) != newVal {
+			if r.Word(field) != newVal {
 				return false
 			}
 		}
@@ -303,8 +301,8 @@ func TestQuickSingleProcessSequential(t *testing.T) {
 // a validator re-reads after a successful VLX and must see identical values.
 func TestConcurrentVLX(t *testing.T) {
 	const rounds = 2000
-	a := core.NewRecord(1, []any{0})
-	b := core.NewRecord(1, []any{0})
+	a := newWords(0)
+	b := newWords(0)
 	stop := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -312,7 +310,7 @@ func TestConcurrentVLX(t *testing.T) {
 	go func() { // writer keeps a and b equal, bumping a then b
 		defer wg.Done()
 		p := core.NewProcess()
-		for k := 1; ; k++ {
+		for k := uint64(1); ; k++ {
 			select {
 			case <-stop:
 				return
@@ -320,10 +318,10 @@ func TestConcurrentVLX(t *testing.T) {
 			}
 			for _, r := range []*core.Record{a, b} {
 				for {
-					if _, st := p.LLX(r); st != core.LLXOK {
+					if _, st := llx(p, r); st != core.LLXOK {
 						continue
 					}
-					if p.SCX([]*core.Record{r}, nil, r.Field(0), k) {
+					if p.SCXWord([]*core.Record{r}, nil, r.WordField(0), k) {
 						break
 					}
 				}
@@ -334,11 +332,11 @@ func TestConcurrentVLX(t *testing.T) {
 	p := core.NewProcess()
 	validated := 0
 	for i := 0; i < rounds; i++ {
-		sa, st := p.LLX(a)
+		sa, st := llx(p, a)
 		if st != core.LLXOK {
 			continue
 		}
-		sb, st := p.LLX(b)
+		sb, st := llx(p, b)
 		if st != core.LLXOK {
 			continue
 		}
@@ -347,7 +345,7 @@ func TestConcurrentVLX(t *testing.T) {
 		}
 		// VLX success: neither record changed since its LLX, so the two
 		// snapshots coexisted; the writer's invariant is a == b or a == b+1.
-		va, vb := sa[0].(int), sb[0].(int)
+		va, vb := sa.Word(0), sb.Word(0)
 		if va != vb && va != vb+1 {
 			t.Fatalf("VLX validated inconsistent snapshots a=%d b=%d", va, vb)
 		}

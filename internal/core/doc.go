@@ -3,8 +3,9 @@
 // Structures" (PODC 2013), from single-word compare-and-swap.
 //
 // The primitives operate on Data-records (type Record), each holding a fixed
-// number of single-word mutable fields and a fixed number of immutable
-// fields:
+// number of single-word mutable fields — uint64 words and raw pointers.
+// Immutable fields live in the structure node that embeds the record. The
+// primitives (LLXFields, SCXWord/SCXPtr and VLX in this package's API):
 //
 //   - LLX(r) returns an atomic snapshot of r's mutable fields, or reports
 //     that r has been finalized, or fails.
@@ -27,9 +28,20 @@
 // concurrent use; Records may be shared freely between Processes.
 //
 // ABA freedom: the paper obliges the caller to never store a value into a
-// field that the field previously contained (Section 4.1). This package
-// discharges that obligation by construction: every SCX wraps the new value
-// in a freshly allocated box and CAS compares box identity, the paper's
-// "Solution 3" wrapper-object variant. Go's garbage collector is the safe
-// collector the paper assumes, so a box address cannot recur while reachable.
+// field that the field previously contained (Section 4.1), because the
+// update CAS compares raw values and a late helper's CAS must fail once the
+// SCX it helps has taken effect. Fields are typed words, so the rule is
+// met per field kind:
+//
+//   - word fields are monotone: every SCXWord writes a value strictly
+//     larger than any the field has held in the record's lifetime (every
+//     word field in this repository is an increasing count);
+//   - pointer fields only ever receive nodes that are freshly allocated or
+//     recycled through internal/reclaim after a grace period, so an address
+//     cannot recur while a helper that expects it is still announced. A
+//     pointer field is never given nil, or an older value, again: an update
+//     that would restore one (unlinking a node in front of its successor, or
+//     emptying a structure) finalizes the would-be value and installs a
+//     fresh copy or a fresh sentinel instead, as the paper's multiset delete
+//     does (Figure 5(c)).
 package core

@@ -12,14 +12,14 @@ import (
 // r.info == scxPtr and proceeds, so the SCX still succeeds.
 func TestSCXWithRepeatedRecordInV(t *testing.T) {
 	p := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 	mustLLX(t, p, a)
 	mustLLX(t, p, b)
-	if !p.SCX([]*core.Record{a, b, a}, nil, a.Field(0), 10) {
+	if !p.SCXWord([]*core.Record{a, b, a}, nil, a.WordField(0), 10) {
 		t.Fatal("SCX with repeated record failed")
 	}
-	if got := a.Read(0); got != 10 {
+	if got := a.Word(0); got != 10 {
 		t.Errorf("a = %v, want 10", got)
 	}
 	// Exactly 2 distinct freezes succeeded; the repeat was a benign no-op.
@@ -35,11 +35,11 @@ func TestSCXWithRepeatedRecordInV(t *testing.T) {
 // harmlessly.
 func TestSCXWithRepeatedRecordInR(t *testing.T) {
 	p := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 	mustLLX(t, p, a)
 	mustLLX(t, p, b)
-	if !p.SCX([]*core.Record{a, b}, []*core.Record{b, b}, a.Field(0), 10) {
+	if !p.SCXWord([]*core.Record{a, b}, []*core.Record{b, b}, a.WordField(0), 10) {
 		t.Fatal("SCX with repeated finalizee failed")
 	}
 	if !b.Finalized() {
@@ -54,22 +54,20 @@ func TestSCXWithRepeatedRecordInR(t *testing.T) {
 // keep returning the frozen-in values forever.
 func TestReadsOfFinalizedRecordStayStable(t *testing.T) {
 	p := core.NewProcess()
-	dst := core.NewRecord(1, []any{0})
-	r := core.NewRecord(2, []any{42, "x"}, "imm")
+	dst := newWords(0)
+	x := fresh()
+	r := newPair(t, 42, x)
 	mustLLX(t, p, dst)
 	mustLLX(t, p, r)
-	if !p.SCX([]*core.Record{dst, r}, []*core.Record{r}, dst.Field(0), 1) {
+	if !p.SCXWord([]*core.Record{dst, r}, []*core.Record{r}, dst.WordField(0), 1) {
 		t.Fatal("SCX failed")
 	}
 	for i := 0; i < 5; i++ {
-		if got := r.Read(0); got != 42 {
-			t.Fatalf("Read(0) = %v", got)
+		if got := r.Word(0); got != 42 {
+			t.Fatalf("Word(0) = %v", got)
 		}
-		if got := r.Read(1); got != "x" {
-			t.Fatalf("Read(1) = %v", got)
-		}
-		if got := r.Immutable(0); got != "imm" {
-			t.Fatalf("Immutable(0) = %v", got)
+		if got := r.Ptr(0); got != x {
+			t.Fatalf("Ptr(0) = %v", got)
 		}
 	}
 }
@@ -80,7 +78,7 @@ func TestManySequentialSCXsReuseProcess(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, 8)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{0})
+		recs[i] = newWords(0)
 	}
 	for i := 0; i < 5000; i++ {
 		a := recs[i%len(recs)]
@@ -90,7 +88,7 @@ func TestManySequentialSCXsReuseProcess(t *testing.T) {
 		}
 		mustLLX(t, p, a)
 		mustLLX(t, p, b)
-		if !p.SCX([]*core.Record{a, b}, nil, a.Field(0), i) {
+		if !p.SCXWord([]*core.Record{a, b}, nil, a.WordField(0), uint64(i)+1) {
 			t.Fatalf("iteration %d: SCX failed", i)
 		}
 		if p.HasLink(a) || p.HasLink(b) {

@@ -7,10 +7,9 @@ import (
 
 // Fields is the typed snapshot view of a Record's mutable fields, produced
 // by Process.LLXFields: nw uint64 words and np raw pointers captured
-// atomically (correctness property C2). It is the de-boxed replacement for
-// the legacy Snapshot []any — reading a snapshot value is an array index,
-// not an interface unbox plus type assertion, and capturing one performs no
-// heap allocation for records up to maxInlineWidth fields per kind.
+// atomically (correctness property C2). Reading a snapshot value is an
+// array index, and capturing one performs no heap allocation for records up
+// to maxInlineWidth fields per kind.
 //
 // A Fields value is caller-owned scratch: LLXFields overwrites it wholesale,
 // so one value can be reused across any number of LLXs (the template engine

@@ -53,27 +53,27 @@ func TestHelperCompletesStalledUpdateCAS(t *testing.T) {
 		return k == core.StepUpdateCAS
 	})
 
-	r := core.NewRecord(1, []any{"old"})
+	r := newWords(1) // old value 1
 	pA := core.NewProcess()
 	mustLLX(t, pA, r)
 
 	done := make(chan bool)
 	go func() {
-		done <- pA.SCX([]*core.Record{r}, nil, r.Field(0), "new")
+		done <- pA.SCXWord([]*core.Record{r}, nil, r.WordField(0), 2) // new value 2
 	}()
 	u := s.wait(t)
 
 	// r is frozen for the in-progress SCX, so pB's LLX fails — but on the way
 	// it must help the SCX finish its update CAS and commit step.
 	pB := core.NewProcess()
-	if _, st := pB.LLX(r); st != core.LLXFail {
+	if _, st := llx(pB, r); st != core.LLXFail {
 		t.Fatalf("LLX on frozen record = %v, want Fail", st)
 	}
 	if got := u.State(); got != core.StateCommitted {
 		t.Fatalf("after helping, SCX-record state = %v, want Committed", got)
 	}
-	if got := r.Read(0); got != "new" {
-		t.Fatalf("after helping, field = %v, want new", got)
+	if got := r.Word(0); got != 2 {
+		t.Fatalf("after helping, field = %v, want 2", got)
 	}
 	if pB.Metrics.UpdateCASSuccesses != 1 {
 		t.Errorf("helper update CAS successes = %d, want 1", pB.Metrics.UpdateCASSuccesses)
@@ -81,8 +81,8 @@ func TestHelperCompletesStalledUpdateCAS(t *testing.T) {
 
 	// A fresh LLX by pB now succeeds with the new value.
 	snap := mustLLX(t, pB, r)
-	if snap[0] != "new" {
-		t.Errorf("post-help snapshot = %v, want new", snap[0])
+	if snap.Word(0) != 2 {
+		t.Errorf("post-help snapshot = %v, want 2", snap.Word(0))
 	}
 
 	// The stalled owner resumes: its own update CAS fails harmlessly and it
@@ -94,7 +94,7 @@ func TestHelperCompletesStalledUpdateCAS(t *testing.T) {
 	if pA.Metrics.UpdateCASSuccesses != 0 {
 		t.Errorf("owner update CAS successes = %d, want 0 (helper won)", pA.Metrics.UpdateCASSuccesses)
 	}
-	if got := r.Read(0); got != "new" {
+	if got := r.Word(0); got != 2 {
 		t.Errorf("field after owner resumed = %v (double apply?)", got)
 	}
 }
@@ -103,8 +103,8 @@ func TestHelperCompletesStalledUpdateCAS(t *testing.T) {
 // of two records but before it freezes the second; the helper must finish the
 // freezing loop itself.
 func TestHelperCompletesPartialFreeze(t *testing.T) {
-	r1 := core.NewRecord(1, []any{1})
-	r2 := core.NewRecord(1, []any{2})
+	r1 := newWords(1)
+	r2 := newWords(2)
 
 	s := newStall(t, func(k core.StepKind, _ *core.SCXRecord, r *core.Record) bool {
 		return k == core.StepFreezingCAS && r == r2
@@ -116,12 +116,12 @@ func TestHelperCompletesPartialFreeze(t *testing.T) {
 
 	done := make(chan bool)
 	go func() {
-		done <- pA.SCX([]*core.Record{r1, r2}, nil, r1.Field(0), 10)
+		done <- pA.SCXWord([]*core.Record{r1, r2}, nil, r1.WordField(0), 10)
 	}()
 	u := s.wait(t)
 
 	pB := core.NewProcess()
-	if _, st := pB.LLX(r1); st != core.LLXFail {
+	if _, st := llx(pB, r1); st != core.LLXFail {
 		t.Fatalf("LLX(r1) = %v, want Fail (frozen for in-progress SCX)", st)
 	}
 	if got := u.State(); got != core.StateCommitted {
@@ -130,7 +130,7 @@ func TestHelperCompletesPartialFreeze(t *testing.T) {
 	if pB.Metrics.FreezingCASSuccesses != 1 {
 		t.Errorf("helper froze %d records, want 1 (r2)", pB.Metrics.FreezingCASSuccesses)
 	}
-	if got := r1.Read(0); got != 10 {
+	if got := r1.Word(0); got != 10 {
 		t.Errorf("r1 field = %v, want 10", got)
 	}
 
@@ -150,8 +150,8 @@ func TestHelperCompletesPartialFreeze(t *testing.T) {
 // *later* SCX, but allFrozen is already set, so the owner concludes its SCX
 // committed.
 func TestFrozenCheckReturnsTrueAfterRefreeze(t *testing.T) {
-	r1 := core.NewRecord(1, []any{1})
-	r2 := core.NewRecord(1, []any{2})
+	r1 := newWords(1)
+	r2 := newWords(2)
 
 	s := newStall(t, func(k core.StepKind, _ *core.SCXRecord, r *core.Record) bool {
 		return k == core.StepFreezingCAS && r == r2
@@ -163,21 +163,21 @@ func TestFrozenCheckReturnsTrueAfterRefreeze(t *testing.T) {
 
 	done := make(chan bool)
 	go func() {
-		done <- pA.SCX([]*core.Record{r1, r2}, nil, r1.Field(0), 10)
+		done <- pA.SCXWord([]*core.Record{r1, r2}, nil, r1.WordField(0), 10)
 	}()
 	u := s.wait(t)
 
 	// Help the stalled SCX to completion, then immediately hit r2 with a new
 	// SCX so that r2.info no longer points at u when the owner resumes.
 	pB := core.NewProcess()
-	if _, st := pB.LLX(r1); st != core.LLXFail {
+	if _, st := llx(pB, r1); st != core.LLXFail {
 		t.Fatalf("LLX(r1) = %v, want Fail", st)
 	}
 	if u.State() != core.StateCommitted {
 		t.Fatal("helping did not commit the stalled SCX")
 	}
 	mustLLX(t, pB, r2)
-	if !pB.SCX([]*core.Record{r2}, nil, r2.Field(0), 20) {
+	if !pB.SCXWord([]*core.Record{r2}, nil, r2.WordField(0), 20) {
 		t.Fatal("pB's follow-up SCX on r2 failed")
 	}
 
@@ -185,10 +185,10 @@ func TestFrozenCheckReturnsTrueAfterRefreeze(t *testing.T) {
 	if !<-done {
 		t.Fatal("owner must report success via the frozen check (line 31)")
 	}
-	if got := r1.Read(0); got != 10 {
+	if got := r1.Word(0); got != 10 {
 		t.Errorf("r1 = %v, want 10", got)
 	}
-	if got := r2.Read(0); got != 20 {
+	if got := r2.Word(0); got != 20 {
 		t.Errorf("r2 = %v, want 20", got)
 	}
 }
@@ -197,8 +197,8 @@ func TestFrozenCheckReturnsTrueAfterRefreeze(t *testing.T) {
 // the LLX itself helps an in-progress SCX that has already marked the record,
 // then reports Finalized.
 func TestLLXHelpsFinalizingSCXAndReturnsFinalized(t *testing.T) {
-	r := core.NewRecord(1, []any{"x"})
-	dst := core.NewRecord(1, []any{nil})
+	r := newWords(0)
+	dst := newWords(0)
 
 	s := newStall(t, func(k core.StepKind, _ *core.SCXRecord, _ *core.Record) bool {
 		return k == core.StepUpdateCAS
@@ -210,21 +210,21 @@ func TestLLXHelpsFinalizingSCXAndReturnsFinalized(t *testing.T) {
 
 	done := make(chan bool)
 	go func() {
-		done <- pA.SCX([]*core.Record{dst, r}, []*core.Record{r}, dst.Field(0), "moved")
+		done <- pA.SCXWord([]*core.Record{dst, r}, []*core.Record{r}, dst.WordField(0), 1)
 	}()
 	u := s.wait(t)
 
 	// r is marked (mark steps precede the update CAS) and its SCX is still
 	// InProgress. pB's LLX must help it commit and then return Finalized.
 	pB := core.NewProcess()
-	if _, st := pB.LLX(r); st != core.LLXFinalized {
+	if _, st := llx(pB, r); st != core.LLXFinalized {
 		t.Fatalf("LLX = %v, want Finalized", st)
 	}
 	if u.State() != core.StateCommitted {
 		t.Fatal("LLX returned Finalized before the SCX committed")
 	}
-	if got := dst.Read(0); got != "moved" {
-		t.Errorf("dst = %v, want moved (helper must run the update CAS first)", got)
+	if got := dst.Word(0); got != 1 {
+		t.Errorf("dst = %v, want 1 (helper must run the update CAS first)", got)
 	}
 
 	close(s.release)
@@ -237,8 +237,8 @@ func TestLLXHelpsFinalizingSCXAndReturnsFinalized(t *testing.T) {
 // a stalled winner; the loser must abort itself (not block) and the winner's
 // update must survive.
 func TestConflictAbortsOnInProgressFreeze(t *testing.T) {
-	r := core.NewRecord(1, []any{0})
-	other := core.NewRecord(1, []any{0})
+	r := newWords(0)
+	other := newWords(0)
 
 	s := newStall(t, func(k core.StepKind, _ *core.SCXRecord, rr *core.Record) bool {
 		return k == core.StepUpdateCAS
@@ -249,7 +249,7 @@ func TestConflictAbortsOnInProgressFreeze(t *testing.T) {
 
 	done := make(chan bool)
 	go func() {
-		done <- pA.SCX([]*core.Record{r}, nil, r.Field(0), 1)
+		done <- pA.SCXWord([]*core.Record{r}, nil, r.WordField(0), 1)
 	}()
 	u := s.wait(t)
 
@@ -261,10 +261,10 @@ func TestConflictAbortsOnInProgressFreeze(t *testing.T) {
 	// after which a stale-free SCX succeeds. Here we assert the stalled
 	// owner still wins exactly once.
 	pB := core.NewProcess()
-	if _, st := pB.LLX(other); st != core.LLXOK {
+	if _, st := llx(pB, other); st != core.LLXOK {
 		t.Fatalf("LLX(other) failed: %v", st)
 	}
-	if !pB.SCX([]*core.Record{other}, nil, other.Field(0), 5) {
+	if !pB.SCXWord([]*core.Record{other}, nil, other.WordField(0), 5) {
 		t.Fatal("disjoint SCX failed while another SCX is stalled")
 	}
 
@@ -275,10 +275,10 @@ func TestConflictAbortsOnInProgressFreeze(t *testing.T) {
 	if !<-done {
 		t.Fatal("owner SCX failed")
 	}
-	if got := r.Read(0); got != 1 {
+	if got := r.Word(0); got != 1 {
 		t.Errorf("r = %v, want 1", got)
 	}
-	if got := other.Read(0); got != 5 {
+	if got := other.Word(0); got != 5 {
 		t.Errorf("other = %v, want 5", got)
 	}
 }

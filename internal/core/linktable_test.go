@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // White-box tests for the open-addressed link table: linear probing,
@@ -12,7 +11,8 @@ import (
 func newTestRecords(n int) []*Record {
 	recs := make([]*Record, n)
 	for i := range recs {
-		recs[i] = NewRecord(1, []any{i})
+		recs[i] = NewTypedRecord(1, 0)
+		recs[i].SetWord(0, uint64(i))
 	}
 	return recs
 }
@@ -23,8 +23,8 @@ func TestLinkTablePutGetDel(t *testing.T) {
 	for i, r := range recs {
 		e := tab.put(r)
 		e.info = dummySCXRecord
-		e.f.np = 1
-		e.f.ptrs[0] = unsafe.Pointer(&box{val: i})
+		e.f.nw = 1
+		e.f.words[0] = uint64(i)
 	}
 	if tab.links() != linkTableMax {
 		t.Fatalf("links = %d, want %d", tab.links(), linkTableMax)
@@ -37,8 +37,8 @@ func TestLinkTablePutGetDel(t *testing.T) {
 		if e == nil {
 			t.Fatalf("get(%d) = nil", i)
 		}
-		if (*box)(e.f.ptrs[0]).val != i {
-			t.Errorf("get(%d) box = %v, want %d", i, (*box)(e.f.ptrs[0]).val, i)
+		if e.f.words[0] != uint64(i) {
+			t.Errorf("get(%d) word = %v, want %d", i, e.f.words[0], i)
 		}
 	}
 	// Delete in a scrambled order, checking the survivors after each step:
@@ -65,19 +65,19 @@ func TestLinkTablePutGetDel(t *testing.T) {
 
 func TestLinkTableOverwrite(t *testing.T) {
 	var tab linkTable
-	r := NewRecord(1, []any{0})
+	r := NewTypedRecord(1, 0)
 	e := tab.put(r)
-	e.f.np = 1
-	e.f.ptrs[0] = unsafe.Pointer(&box{val: "first"})
+	e.f.nw = 1
+	e.f.words[0] = 1
 	e = tab.put(r)
-	if e.f.ptrs[0] == nil || (*box)(e.f.ptrs[0]).val != "first" {
+	if e.f.words[0] != 1 {
 		// put on an existing key returns the same slot; the caller
 		// overwrites it, so the old contents are still visible here.
 		t.Fatalf("put did not return the existing slot")
 	}
-	e.f.ptrs[0] = unsafe.Pointer(&box{val: "second"})
-	if got := tab.get(r); (*box)(got.f.ptrs[0]).val != "second" {
-		t.Errorf("entry = %v, want second", (*box)(got.f.ptrs[0]).val)
+	e.f.words[0] = 2
+	if got := tab.get(r); got.f.words[0] != 2 {
+		t.Errorf("entry = %v, want 2", got.f.words[0])
 	}
 	if tab.links() != 1 {
 		t.Errorf("links = %d, want 1", tab.links())

@@ -152,15 +152,16 @@ func TestHandleProcessUsableForPrimitives(t *testing.T) {
 	h := AcquireHandle()
 	defer h.Release()
 	p := h.Process()
-	r := NewRecord(1, []any{41})
-	snap, st := p.LLX(r)
-	if st != LLXOK {
+	r := NewTypedRecord(1, 0)
+	r.SetWord(0, 41)
+	var snap Fields
+	if st := p.LLXFields(r, &snap); st != LLXOK {
 		t.Fatalf("LLX status %v", st)
 	}
-	if !p.SCX([]*Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+	if !p.SCXWord([]*Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 		t.Fatal("SCX failed")
 	}
-	if got := r.Read(0).(int); got != 42 {
+	if got := r.Word(0); got != 42 {
 		t.Fatalf("value = %d, want 42", got)
 	}
 }

@@ -35,15 +35,9 @@ func (s LLXStatus) String() string {
 	}
 }
 
-// Snapshot is the legacy boxed snapshot of a Record's mutable fields,
-// indexed like Record.Read. The caller owns the slice. Typed records
-// snapshot into Fields instead.
-type Snapshot []any
-
 // llxEntry is one row of the paper's per-process table of LLX results: the
 // info pointer and the raw field words read by the process's last LLX on a
-// record. For legacy records the captured pointers are the *box values,
-// preserving the box-identity update CAS.
+// record.
 type llxEntry struct {
 	info *SCXRecord
 	f    Fields
@@ -227,70 +221,24 @@ func (p *Process) Reclaimer() *reclaim.Local {
 	return p.recl
 }
 
-// LLX performs a load-link-extended on r (paper Figure 4, lines 1-16).
+// LLXFields performs a load-link-extended on r (paper Figure 4, lines
+// 1-16), capturing the snapshot into the caller-owned f.
 //
-// On LLXOK it returns a snapshot of r's mutable fields and establishes a link
-// that a subsequent SCX or VLX whose V-sequence contains r will depend on.
-// LLXFinalized means r was finalized by a committed SCX. LLXFail means a
-// concurrent SCX interfered; the caller should retry. Per the paper's
-// linked-LLX definition, a successful LLX(r) remains linked until the process
-// performs another LLX(r), an SCX whose V contains r, or an unsuccessful VLX
-// whose V contains r.
+// On LLXOK f holds a snapshot of r's mutable fields and a link is
+// established that a subsequent SCX or VLX whose V-sequence contains r will
+// depend on. LLXFinalized means r was finalized by a committed SCX. LLXFail
+// means a concurrent SCX interfered; the caller should retry. Per the
+// paper's linked-LLX definition, a successful LLX(r) remains linked until
+// the process performs another LLX(r), an SCX whose V contains r, or an
+// unsuccessful VLX whose V contains r.
 //
-// LLX allocates a fresh Snapshot per call; hot loops should prefer LLXInto
-// (legacy records) or LLXFields (typed records).
-func (p *Process) LLX(r *Record) (Snapshot, LLXStatus) {
-	return p.LLXInto(r, nil)
-}
-
-// LLXInto is the legacy boxed LLX with snapshot reuse: on LLXOK the
-// snapshot is written into buf when cap(buf) suffices (a fresh slice is
-// allocated only when it does not; nil buf allocates whenever the record has
-// mutable fields). The returned Snapshot aliases buf, so the previous
-// contents of buf are invalidated. With an adequate caller-owned buffer, an
-// uncontended LLXInto on a record with at most maxInlineWidth mutable fields
-// performs zero heap allocations. Panics on typed records, which snapshot
-// through LLXFields.
-func (p *Process) LLXInto(r *Record, buf Snapshot) (Snapshot, LLXStatus) {
-	if r == nil {
-		panic("core: LLX of nil Record")
-	}
-	if !r.legacy {
-		panic("core: boxed LLX on a typed record; use LLXFields")
-	}
-	var stage Fields
-	st := p.llx(r, &stage)
-	if st != LLXOK {
-		return nil, st
-	}
-	// Unbox the captured boxes into the caller's buffer.
-	nf := int(r.np)
-	if cap(buf) < nf {
-		buf = make(Snapshot, nf)
-	}
-	vals := buf[:nf]
-	for i := 0; i < nf; i++ {
-		vals[i] = (*box)(stage.Ptr(i)).val
-	}
-	return vals, LLXOK
-}
-
-// LLXFields performs a load-link-extended on a typed record, capturing the
-// snapshot into the caller-owned f. It is the allocation-free fast path:
-// for records up to maxInlineWidth fields per kind it touches the heap only
-// via the link table's spill map in pathological link patterns.
+// LLXFields is allocation-free for records up to maxInlineWidth fields per
+// kind: it touches the heap only via the link table's spill map in
+// pathological link patterns.
 func (p *Process) LLXFields(r *Record, f *Fields) LLXStatus {
 	if r == nil {
 		panic("core: LLX of nil Record")
 	}
-	if r.legacy {
-		panic("core: LLXFields on a legacy record; use LLXInto")
-	}
-	return p.llx(r, f)
-}
-
-// llx is the shared body of Figure 4, lines 1-16, capturing into f.
-func (p *Process) llx(r *Record, f *Fields) LLXStatus {
 	p.Metrics.LLXOps++
 
 	marked1 := r.marked.Load() // line 3: order of lines 3-6 matters
@@ -332,39 +280,26 @@ func (p *Process) llx(r *Record, f *Fields) LLXStatus {
 	return LLXFail // line 16
 }
 
-// SCX performs a store-conditional-extended (paper Figure 4, lines 17-21):
-// atomically store newVal into the legacy mutable field fld of one record in
-// v and finalize every record in rset, provided no record in v has changed
-// since this process's linked LLX on it. rset must be a subset of v, and
-// fld.Rec must be in v. SCX reports whether it succeeded; on failure the
-// caller must re-perform the LLXs before retrying.
+// SCXWord performs a store-conditional-extended (paper Figure 4, lines
+// 17-21) on a uint64 word field: atomically store newWord into fld and
+// finalize every record in rset, provided no record in v has changed since
+// this process's linked LLX on it. rset must be a subset of v, and fld.Rec
+// must be in v. SCXWord reports whether it succeeded; on failure the caller
+// must re-perform the LLXs before retrying.
 //
 // Preconditions (checked, panic on violation, as these are programming
 // errors): the process has a linked LLX for every record in v, rset ⊆ v, and
-// fld names a legacy mutable field of a record in v. The paper's remaining
-// precondition — newVal must differ from every value fld has held — is
-// satisfied by construction because SCX boxes newVal freshly.
+// fld names a word field of a record in v. The paper's remaining
+// precondition (Section 4.1) is the caller's: newWord must differ from
+// every value the field has held during the record's current lifetime. All
+// word fields in this repository are monotonically increasing counts, which
+// satisfies it trivially.
 //
-// SCX performs at most one heap allocation (the operation descriptor), and
-// zero once the process runs under an announced reclamation epoch (the
+// An SCX performs at most one heap allocation (the operation descriptor),
+// and zero once the process runs under an announced reclamation epoch (the
 // template engine's default), where descriptors are recycled through
 // internal/reclaim after their grace periods. Neither v nor rset is
 // retained, so callers may reuse (or stack-allocate) the slices.
-func (p *Process) SCX(v []*Record, rset []*Record, fld FieldRef, newVal any) bool {
-	if fld.kind != fieldBoxed {
-		panic("core: boxed SCX with a typed FieldRef; use SCXWord or SCXPtr")
-	}
-	u := p.buildSCXRecord(v, rset, fld)
-	u.newBoxStore.val = newVal
-	u.newPtr = unsafe.Pointer(&u.newBoxStore)
-	return p.runSCX(u, v)
-}
-
-// SCXWord is SCX for a uint64 word field of a typed record. The caller must
-// uphold the paper's Section 4.1 constraint directly: newWord must differ
-// from every value the field has held during the record's current lifetime
-// (all word fields in this repository are monotonically increasing counts,
-// which satisfies it trivially).
 func (p *Process) SCXWord(v []*Record, rset []*Record, fld FieldRef, newWord uint64) bool {
 	if fld.kind != fieldWord {
 		panic("core: SCXWord with a non-word FieldRef")
@@ -374,11 +309,12 @@ func (p *Process) SCXWord(v []*Record, rset []*Record, fld FieldRef, newWord uin
 	return p.runSCX(u, v)
 }
 
-// SCXPtr is SCX for a pointer field of a typed record. The Section 4.1
-// constraint holds when newPtr is either freshly allocated or recycled via
-// internal/reclaim (a recycled address cannot still be the expected old
-// value of any in-flight helper, because the helper's announcement would
-// have blocked the grace period; see DESIGN.md).
+// SCXPtr is SCXWord for a pointer field. The Section 4.1 constraint holds
+// when newPtr is either freshly allocated or recycled via internal/reclaim
+// (a recycled address cannot still be the expected old value of any
+// in-flight helper, because the helper's announcement would have blocked
+// the grace period; see DESIGN.md). nil, or any older value of the field,
+// must never be written back.
 func (p *Process) SCXPtr(v []*Record, rset []*Record, fld FieldRef, newPtr unsafe.Pointer) bool {
 	if fld.kind != fieldPtr {
 		panic("core: SCXPtr with a non-pointer FieldRef")
@@ -402,8 +338,7 @@ func (p *Process) runSCX(u *SCXRecord, v []*Record) bool {
 	}
 	if p.recl != nil && p.recl.Active() {
 		// The descriptor stays reachable through the info fields of the
-		// records it froze (and, for boxed SCXs, through its embedded box
-		// installed in the target field); descReady gates its reuse on both,
+		// records it froze; descReady gates its reuse on their displacement,
 		// and the limbo re-stamp rule adds a fresh grace period after the
 		// last reference is displaced.
 		descPool.Retire(p.recl, u)
@@ -412,9 +347,8 @@ func (p *Process) runSCX(u *SCXRecord, v []*Record) bool {
 }
 
 // descPool recycles SCX descriptors. A descriptor is recyclable only after
-// (a) its grace period, (b) no record in its V-sequence still designates it
-// as info, and (c) its embedded legacy box, if installed by the update CAS,
-// has been displaced from the target field.
+// (a) its grace period and (b) no record in its V-sequence still designates
+// it as info.
 var descPool = reclaim.NewPoolReady[SCXRecord](descReady)
 
 func descReady(u *SCXRecord) bool {
@@ -422,10 +356,6 @@ func descReady(u *SCXRecord) bool {
 		if r.info.Load() == u {
 			return false
 		}
-	}
-	if u.fldPtr != nil && u.newPtr == unsafe.Pointer(&u.newBoxStore) &&
-		u.fldPtr.Load() == u.newPtr {
-		return false
 	}
 	return true
 }
@@ -513,7 +443,7 @@ func (p *Process) buildSCXRecord(v []*Record, rset []*Record, fld FieldRef) *SCX
 		}
 		u.fldWord = fld.Rec.wslot(fld.Field)
 		u.oldWord = e.f.Word(fld.Field)
-	default: // fieldPtr and fieldBoxed share pointer storage
+	default:
 		if fld.Field < 0 || fld.Field >= fld.Rec.NumPtrs() {
 			panic(fmt.Sprintf("core: SCX fld index %d out of range [0,%d)",
 				fld.Field, fld.Rec.NumPtrs()))
@@ -595,9 +525,9 @@ func (p *Process) help(u *SCXRecord) bool {
 	callHook(StepUpdateCAS, u, nil)
 	p.Metrics.UpdateCASAttempts++
 	// Line 39: update CAS on the target word. Word and pointer fields CAS
-	// their raw values; the distinct-value precondition (boxed: fresh box
-	// identity; word: monotone values; pointer: fresh or grace-period-
-	// recycled addresses) is what makes a late helper's CAS fail benignly.
+	// their raw values; the distinct-value precondition (word: monotone
+	// values; pointer: fresh or grace-period-recycled addresses) is what
+	// makes a late helper's CAS fail benignly.
 	var updated bool
 	if u.fldWord != nil {
 		updated = u.fldWord.CompareAndSwap(u.oldWord, u.newWord)

@@ -6,27 +6,6 @@ import (
 	"unsafe"
 )
 
-// box wraps a single boxed-interface mutable-field value, the storage used
-// by the LEGACY record API (NewRecord/Read/Field/SCX with any values). A
-// legacy mutable field stores *box rather than the value itself so that the
-// update CAS operates on pointer identity: each SCX boxes its new value
-// freshly (inside its descriptor), so a field can never be CASed back to a
-// previous value and the ABA constraint of Section 4.1 is satisfied by
-// construction.
-//
-// The TYPED record API (NewTypedRecord, Word/Ptr fields) stores 64-bit
-// words and raw pointers directly — no boxing, no type assertions — and
-// discharges the Section 4.1 constraint differently: pointer fields only
-// ever receive nodes that are fresh or recycled under internal/reclaim's
-// grace periods (so an address cannot recur while any helper that saw the
-// old value is still inside an operation), and in-place word fields must be
-// given values that do not recur within a record's lifetime (every word
-// field in this repository is a monotonically increasing count). See
-// DESIGN.md, "De-boxed word storage".
-type box struct {
-	val any
-}
-
 // maxInlineWidth is the number of word and pointer slots a Record (and a
 // Fields snapshot) holds inline. Every record in this repository's data
 // structures has at most two mutable fields; wider records (tests) spill to
@@ -44,15 +23,16 @@ func (a *atomicPtr) CompareAndSwap(old, new unsafe.Pointer) bool {
 }
 
 // Record is a Data-record: the unit on which LLX, SCX and VLX operate. A
-// Record has a fixed number of single-word mutable fields (read with
-// Word/Ptr — or Read for legacy boxed records — snapshot with LLX, written
-// only by SCX) and, for legacy records, a fixed number of immutable fields.
+// Record has a fixed number of single-word mutable fields, read with
+// Word/Ptr, snapshot with LLXFields and written only by SCXWord/SCXPtr.
+// Immutable fields live in the structure node that embeds the record.
 //
 // Mutable storage is typed and unboxed: a record has nw uint64 word fields
 // and np pointer fields, each an atomic machine word, held inline up to
-// maxInlineWidth per kind and spilled to slices beyond that. Legacy records
-// created with NewRecord represent each `any` field as a pointer field
-// holding a *box.
+// maxInlineWidth per kind and spilled to slices beyond that.
+//
+// A field must never be given a value it held before (the paper's Section
+// 4.1); the package documentation states the rule per field kind.
 //
 // In addition to its user fields, a Record carries the bookkeeping fields of
 // the paper's Figure 1: an info pointer to the SCX-record of the last SCX
@@ -64,46 +44,12 @@ func (a *atomicPtr) CompareAndSwap(old, new unsafe.Pointer) bool {
 type Record struct {
 	info   atomic.Pointer[SCXRecord]
 	marked atomic.Bool
-	legacy bool // created by NewRecord: pointer fields hold *box
 	nw, np uint8
 
 	wordsInline [maxInlineWidth]atomic.Uint64
 	ptrsInline  [maxInlineWidth]atomicPtr
 	wordSpill   []atomic.Uint64
 	ptrSpill    []atomicPtr
-
-	immut []any
-}
-
-// NewRecord creates a LEGACY boxed record with numMutable mutable fields,
-// initialized to the corresponding entries of initial (missing entries
-// default to nil), and with the given immutable fields. Each mutable field
-// is a pointer word holding a freshly boxed value. The record's info pointer
-// starts at the dummy SCX-record (state Aborted) and its marked bit is
-// false, as required by the algorithm.
-//
-// New code should prefer NewTypedRecord/InitRecord, which store words and
-// pointers without boxing.
-func NewRecord(numMutable int, initial []any, immutable ...any) *Record {
-	if numMutable < 0 {
-		panic("core: NewRecord with negative field count")
-	}
-	if len(initial) > numMutable {
-		panic(fmt.Sprintf("core: NewRecord given %d initial values for %d mutable fields",
-			len(initial), numMutable))
-	}
-	r := &Record{}
-	initRecord(r, 0, numMutable)
-	r.legacy = true
-	r.immut = immutable
-	for i := 0; i < numMutable; i++ {
-		b := &box{}
-		if i < len(initial) {
-			b.val = initial[i]
-		}
-		r.pslot(i).Store(unsafe.Pointer(b))
-	}
-	return r
 }
 
 // NewTypedRecord creates a record with words uint64 fields and ptrs pointer
@@ -169,12 +115,9 @@ func (r *Record) NumWords() int { return int(r.nw) }
 // NumPtrs returns the number of pointer fields of r.
 func (r *Record) NumPtrs() int { return int(r.np) }
 
-// NumMutable returns the number of mutable fields of r (for legacy records,
-// the NewRecord field count; for typed records, words plus pointers).
+// NumMutable returns the number of mutable fields of r: words plus
+// pointers.
 func (r *Record) NumMutable() int { return int(r.nw) + int(r.np) }
-
-// NumImmutable returns the number of immutable fields of r.
-func (r *Record) NumImmutable() int { return len(r.immut) }
 
 // Word atomically reads word field i of r. Plain reads are permitted
 // alongside LLX: the paper linearizes them, and Proposition 2 lets searches
@@ -203,20 +146,6 @@ func (r *Record) SetPtr(i int, p unsafe.Pointer) {
 	r.checkPtr(i)
 	r.pslot(i).Store(p)
 }
-
-// Read atomically reads legacy mutable field i of r (unboxing the value a
-// NewRecord-created field holds). Panics on typed records.
-func (r *Record) Read(i int) any {
-	if !r.legacy {
-		panic("core: Read on a typed record; use Word or Ptr")
-	}
-	r.checkPtr(i)
-	return (*box)(r.pslot(i).Load()).val
-}
-
-// Immutable returns immutable field i of r. Immutable fields never change
-// after creation, so they may be read without synchronization.
-func (r *Record) Immutable(i int) any { return r.immut[i] }
 
 // Finalized reports whether r has been finalized: r is marked and the SCX
 // that marked it has committed. A finalized record can never change again.
@@ -263,44 +192,27 @@ func (r *Record) checkPtr(i int) {
 type fieldKind uint8
 
 const (
-	fieldBoxed fieldKind = iota // legacy pointer field holding a *box
-	fieldWord
+	fieldWord fieldKind = iota + 1 // the zero FieldRef names no field
 	fieldPtr
 )
 
 // FieldRef names one mutable field of one Record; it is the fld argument of
-// Process.SCX/SCXWord/SCXPtr. The zero kind is the legacy boxed field, so
-// FieldRef{Rec: r, Field: i} literals built by older code keep working.
+// Process.SCXWord/SCXPtr. Build one with Record.WordField or
+// Record.PtrField.
 type FieldRef struct {
 	Rec   *Record
 	Field int
 	kind  fieldKind
 }
 
-// Field returns a FieldRef for legacy mutable field i of r, for use with
-// the boxed SCX. Panics on typed records.
-func (r *Record) Field(i int) FieldRef {
-	if !r.legacy {
-		panic("core: Field on a typed record; use WordField or PtrField")
-	}
-	r.checkPtr(i)
-	return FieldRef{Rec: r, Field: i, kind: fieldBoxed}
-}
-
 // WordField returns a FieldRef for word field i of r, for use with SCXWord.
 func (r *Record) WordField(i int) FieldRef {
-	if r.legacy {
-		panic("core: WordField on a legacy record; use Field")
-	}
 	r.checkWord(i)
 	return FieldRef{Rec: r, Field: i, kind: fieldWord}
 }
 
 // PtrField returns a FieldRef for pointer field i of r, for use with SCXPtr.
 func (r *Record) PtrField(i int) FieldRef {
-	if r.legacy {
-		panic("core: PtrField on a legacy record; use Field")
-	}
 	r.checkPtr(i)
 	return FieldRef{Rec: r, Field: i, kind: fieldPtr}
 }

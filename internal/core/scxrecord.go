@@ -45,11 +45,9 @@ const maxInlineV = 4
 //
 // The descriptor is a single allocation: the V and R sequences and the
 // per-record info snapshot live in fixed inline arrays (slices are used only
-// when a sequence exceeds maxInlineV). The target field is stored de-boxed
-// as either a word slot with old/new uint64 values or a pointer slot with
-// old/new raw pointers; a legacy boxed SCX embeds its fresh box in the
-// descriptor itself (newBoxStore) and runs as a pointer CAS on the box
-// address.
+// when a sequence exceeds maxInlineV). The target field is either a word
+// slot with old/new uint64 values or a pointer slot with old/new raw
+// pointers.
 //
 // Descriptor identity is what the info-field CASes compare (Lemma 12), so a
 // descriptor address may be reused only when no process can still compare
@@ -74,8 +72,6 @@ type SCXRecord struct {
 	oldPtr  unsafe.Pointer
 	newPtr  unsafe.Pointer
 
-	newBoxStore box // legacy boxed SCX: the freshly boxed new value
-
 	state     atomic.Int32
 	allFrozen atomic.Bool
 }
@@ -92,7 +88,6 @@ func (u *SCXRecord) resetForReuse() {
 	u.fldWord, u.fldPtr = nil, nil
 	u.oldWord, u.newWord = 0, 0
 	u.oldPtr, u.newPtr = nil, nil
-	u.newBoxStore.val = nil
 	u.allFrozen.Store(false)
 	u.state.Store(0)
 }

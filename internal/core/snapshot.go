@@ -7,24 +7,22 @@ package core
 // at the VLX's linearization point. This is the paper's intended use of VLX:
 // a multi-record read costing only one extra read per record, with no CAS.
 //
-// On success it returns one snapshot per record, aligned with recs. It
-// fails (nil, false) if any LLX fails or observes a finalized record, or if
-// the VLX detects interference; callers retry. The links established by the
-// LLXs remain usable on success, exactly as after a successful VLX.
-func (p *Process) SnapshotAll(recs []*Record) ([]Snapshot, bool) {
+// snaps is caller-owned and must be at least as long as recs; on success
+// snaps[i] holds the snapshot of recs[i]. It fails (false) if any LLX fails
+// or observes a finalized record, or if the VLX detects interference;
+// callers retry. The links established by the LLXs remain usable on
+// success, exactly as after a successful VLX.
+func (p *Process) SnapshotAll(recs []*Record, snaps []Fields) bool {
+	if len(snaps) < len(recs) {
+		panic("core: SnapshotAll given fewer snapshots than records")
+	}
 	if len(recs) == 0 {
-		return nil, true
+		return true
 	}
-	snaps := make([]Snapshot, len(recs))
 	for i, r := range recs {
-		snap, st := p.LLX(r)
-		if st != LLXOK {
-			return nil, false
+		if p.LLXFields(r, &snaps[i]) != LLXOK {
+			return false
 		}
-		snaps[i] = snap
 	}
-	if !p.VLX(recs) {
-		return nil, false
-	}
-	return snaps, true
+	return p.VLX(recs)
 }

@@ -9,25 +9,25 @@ import (
 
 func TestSnapshotAllEmpty(t *testing.T) {
 	p := core.NewProcess()
-	snaps, ok := p.SnapshotAll(nil)
-	if !ok || snaps != nil {
-		t.Fatalf("SnapshotAll(nil) = (%v,%v)", snaps, ok)
+	if !p.SnapshotAll(nil, nil) {
+		t.Fatal("SnapshotAll(nil) failed")
 	}
 }
 
 func TestSnapshotAllQuiescent(t *testing.T) {
 	p := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(2, []any{2, "x"})
-	snaps, ok := p.SnapshotAll([]*core.Record{a, b})
-	if !ok {
+	a := newWords(1)
+	x := fresh()
+	b := newPair(t, 2, x)
+	snaps := make([]core.Fields, 2)
+	if !p.SnapshotAll([]*core.Record{a, b}, snaps) {
 		t.Fatal("SnapshotAll failed with no contention")
 	}
-	if snaps[0][0] != 1 || snaps[1][0] != 2 || snaps[1][1] != "x" {
-		t.Fatalf("snapshots = %v", snaps)
+	if snaps[0].Word(0) != 1 || snaps[1].Word(0) != 2 || snaps[1].Ptr(0) != x {
+		t.Fatalf("snapshots = [%d] [%d %v]", snaps[0].Word(0), snaps[1].Word(0), snaps[1].Ptr(0))
 	}
 	// Links survive a successful SnapshotAll: an SCX can consume them.
-	if !p.SCX([]*core.Record{a, b}, nil, a.Field(0), 10) {
+	if !p.SCXWord([]*core.Record{a, b}, nil, a.WordField(0), 10) {
 		t.Fatal("SCX after SnapshotAll failed")
 	}
 }
@@ -35,37 +35,46 @@ func TestSnapshotAllQuiescent(t *testing.T) {
 func TestSnapshotAllFailsAcrossChange(t *testing.T) {
 	p := core.NewProcess()
 	q := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 
 	// Interleave manually: p links a, q modifies a, then p's SnapshotAll of
 	// {a,b} must observe the conflict when it revalidates.
 	mustLLX(t, p, a)
 	mustLLX(t, q, a)
-	if !q.SCX([]*core.Record{a}, nil, a.Field(0), 9) {
+	if !q.SCXWord([]*core.Record{a}, nil, a.WordField(0), 9) {
 		t.Fatal("q SCX failed")
 	}
 	// p's stale link is irrelevant: SnapshotAll performs fresh LLXs, so it
 	// should succeed and see the new value.
-	snaps, ok := p.SnapshotAll([]*core.Record{a, b})
-	if !ok {
+	snaps := make([]core.Fields, 2)
+	if !p.SnapshotAll([]*core.Record{a, b}, snaps) {
 		t.Fatal("SnapshotAll failed after quiesced change")
 	}
-	if snaps[0][0] != 9 {
-		t.Fatalf("snapshot saw %v, want 9", snaps[0][0])
+	if snaps[0].Word(0) != 9 {
+		t.Fatalf("snapshot saw %v, want 9", snaps[0].Word(0))
 	}
+}
+
+func TestSnapshotAllShortBufferPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("SnapshotAll with too few snapshots did not panic")
+		}
+	}()
+	core.NewProcess().SnapshotAll([]*core.Record{newWords(1)}, nil)
 }
 
 func TestSnapshotAllFinalizedRecordFails(t *testing.T) {
 	p := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 	mustLLX(t, p, a)
 	mustLLX(t, p, b)
-	if !p.SCX([]*core.Record{a, b}, []*core.Record{b}, a.Field(0), 5) {
+	if !p.SCXWord([]*core.Record{a, b}, []*core.Record{b}, a.WordField(0), 5) {
 		t.Fatal("finalizing SCX failed")
 	}
-	if _, ok := p.SnapshotAll([]*core.Record{a, b}); ok {
+	if p.SnapshotAll([]*core.Record{a, b}, make([]core.Fields, 2)) {
 		t.Fatal("SnapshotAll succeeded over a finalized record")
 	}
 }
@@ -76,8 +85,8 @@ func TestSnapshotAllFinalizedRecordFails(t *testing.T) {
 // a == b or a == b+1 — never b ahead of a, and never a two ahead.
 func TestSnapshotAllConsistentUnderWrites(t *testing.T) {
 	const rounds = 4000
-	a := core.NewRecord(1, []any{0})
-	b := core.NewRecord(1, []any{0})
+	a := newWords(0)
+	b := newWords(0)
 	stop := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -85,7 +94,7 @@ func TestSnapshotAllConsistentUnderWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p := core.NewProcess()
-		for k := 1; ; k++ {
+		for k := uint64(1); ; k++ {
 			select {
 			case <-stop:
 				return
@@ -93,10 +102,10 @@ func TestSnapshotAllConsistentUnderWrites(t *testing.T) {
 			}
 			for _, r := range []*core.Record{a, b} {
 				for {
-					if _, st := p.LLX(r); st != core.LLXOK {
+					if _, st := llx(p, r); st != core.LLXOK {
 						continue
 					}
-					if p.SCX([]*core.Record{r}, nil, r.Field(0), k) {
+					if p.SCXWord([]*core.Record{r}, nil, r.WordField(0), k) {
 						break
 					}
 				}
@@ -106,12 +115,12 @@ func TestSnapshotAllConsistentUnderWrites(t *testing.T) {
 
 	p := core.NewProcess()
 	validated := 0
+	snaps := make([]core.Fields, 2)
 	for i := 0; i < rounds; i++ {
-		snaps, ok := p.SnapshotAll([]*core.Record{a, b})
-		if !ok {
+		if !p.SnapshotAll([]*core.Record{a, b}, snaps) {
 			continue
 		}
-		va, vb := snaps[0][0].(int), snaps[1][0].(int)
+		va, vb := snaps[0].Word(0), snaps[1].Word(0)
 		if va != vb && va != vb+1 {
 			t.Fatalf("inconsistent cross-record snapshot a=%d b=%d", va, vb)
 		}

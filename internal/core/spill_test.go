@@ -1,15 +1,15 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
+	"unsafe"
 
 	"pragmaprim/internal/core"
 )
 
 // The spill tests drive the fixed-capacity fast-path structures past their
 // inline limits — V-sequences longer than the descriptor's inline arrays,
-// records wider than an llxEntry's inline boxes, and more live links than
+// records wider than a Fields' inline arrays, and more live links than
 // the open-addressed table holds — and check that behavior is unchanged.
 
 // TestSCXWideVSequence runs an SCX whose V and R sequences exceed the
@@ -19,18 +19,18 @@ func TestSCXWideVSequence(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, k)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{i}, fmt.Sprintf("rec%d", i))
+		recs[i] = newWords(uint64(i))
 	}
 	for _, r := range recs {
-		if _, st := p.LLX(r); st != core.LLXOK {
+		if _, st := llx(p, r); st != core.LLXOK {
 			t.Fatalf("LLX failed: %v", st)
 		}
 	}
 	rset := recs[1:] // finalize 6 records: the R sequence spills too
-	if !p.SCX(recs, rset, recs[0].Field(0), 100) {
+	if !p.SCXWord(recs, rset, recs[0].WordField(0), 100) {
 		t.Fatal("wide SCX failed")
 	}
-	if got := recs[0].Read(0); got != 100 {
+	if got := recs[0].Word(0); got != 100 {
 		t.Errorf("field = %v, want 100", got)
 	}
 	for i, r := range rset {
@@ -42,7 +42,7 @@ func TestSCXWideVSequence(t *testing.T) {
 		t.Error("recs[0] finalized but not in R")
 	}
 	// A subsequent LLX on a finalized record must report it.
-	if _, st := p.LLX(recs[1]); st != core.LLXFinalized {
+	if _, st := llx(p, recs[1]); st != core.LLXFinalized {
 		t.Errorf("LLX on finalized record = %v, want Finalized", st)
 	}
 }
@@ -54,12 +54,12 @@ func TestSCXWideVSequenceExposed(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, k)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{i})
-		if _, st := p.LLX(recs[i]); st != core.LLXOK {
+		recs[i] = newWords(uint64(i))
+		if _, st := llx(p, recs[i]); st != core.LLXOK {
 			t.Fatalf("LLX failed")
 		}
 	}
-	if !p.SCX(recs, recs[:k-1], recs[0].Field(0), "wide") {
+	if !p.SCXWord(recs, recs[:k-1], recs[0].WordField(0), 100) {
 		t.Fatal("wide SCX failed")
 	}
 	u := recs[k-1].Info()
@@ -80,57 +80,68 @@ func TestSCXWideVSequenceExposed(t *testing.T) {
 	}
 }
 
-// TestWideRecordLLX drives LLX/SCX on a record with more mutable fields than
-// an llxEntry stores inline (maxInlineFields = 4), exercising the box-spill
-// path, including the old-box lookup for a high field index.
+// TestWideRecordLLX drives LLX/SCX on a record with more word and pointer
+// fields than a Fields stores inline (maxInlineWidth = 4), exercising the
+// spill path, including the old-value lookup for a high field index.
 func TestWideRecordLLX(t *testing.T) {
 	const nf = 7
 	p := core.NewProcess()
-	init := make([]any, nf)
-	for i := range init {
-		init[i] = i * 10
+	r := core.NewTypedRecord(nf, nf)
+	ptrs := make([]unsafe.Pointer, nf)
+	for i := 0; i < nf; i++ {
+		ptrs[i] = fresh()
+		r.SetWord(i, uint64(i*10))
+		r.SetPtr(i, ptrs[i])
 	}
-	r := core.NewRecord(nf, init)
-	snap, st := p.LLX(r)
+	snap, st := llx(p, r)
 	if st != core.LLXOK {
 		t.Fatalf("LLX failed: %v", st)
 	}
-	if len(snap) != nf {
-		t.Fatalf("snapshot length = %d, want %d", len(snap), nf)
+	if snap.NumWords() != nf || snap.NumPtrs() != nf {
+		t.Fatalf("snapshot width = %d+%d, want %d+%d", snap.NumWords(), snap.NumPtrs(), nf, nf)
 	}
-	for i := range snap {
-		if snap[i] != i*10 {
-			t.Errorf("snap[%d] = %v, want %d", i, snap[i], i*10)
+	for i := 0; i < nf; i++ {
+		if snap.Word(i) != uint64(i*10) {
+			t.Errorf("snap word %d = %v, want %d", i, snap.Word(i), i*10)
+		}
+		if snap.Ptr(i) != ptrs[i] {
+			t.Errorf("snap ptr %d = %v, want %v", i, snap.Ptr(i), ptrs[i])
 		}
 	}
-	// SCX against the highest field: the old box comes from the spill slice.
-	if !p.SCX([]*core.Record{r}, nil, r.Field(nf-1), "updated") {
+	// SCX against the highest field: the old value comes from the spill
+	// slice.
+	if !p.SCXWord([]*core.Record{r}, nil, r.WordField(nf-1), 1000) {
 		t.Fatal("SCX on wide record failed")
 	}
-	if got := r.Read(nf - 1); got != "updated" {
-		t.Errorf("field %d = %v, want updated", nf-1, got)
+	if got := r.Word(nf - 1); got != 1000 {
+		t.Errorf("field %d = %v, want 1000", nf-1, got)
 	}
 	for i := 0; i < nf-1; i++ {
-		if got := r.Read(i); got != i*10 {
+		if got := r.Word(i); got != uint64(i*10) {
 			t.Errorf("field %d = %v, want %d (unchanged)", i, got, i*10)
 		}
 	}
-	// LLXInto with a reused buffer on the wide record still snapshots
-	// correctly (the buffer is grown, not truncated).
-	buf := make(core.Snapshot, 2)
-	buf, st = p.LLXInto(r, buf)
-	if st != core.LLXOK {
-		t.Fatalf("LLXInto failed: %v", st)
+	// LLXFields into a Fields that last held a narrow snapshot still
+	// snapshots the wide record correctly (the spill is rebuilt, not
+	// truncated).
+	var f core.Fields
+	if st := p.LLXFields(newWords(1, 2), &f); st != core.LLXOK {
+		t.Fatalf("narrow LLX failed: %v", st)
 	}
-	if len(buf) != nf || buf[nf-1] != "updated" {
-		t.Errorf("LLXInto snapshot = %v", buf)
+	if st := p.LLXFields(r, &f); st != core.LLXOK {
+		t.Fatalf("wide LLX into reused Fields failed: %v", st)
 	}
-	// And an SCX through that link also works end to end.
-	if !p.SCX([]*core.Record{r}, nil, r.Field(0), "again") {
+	if f.NumWords() != nf || f.Word(nf-1) != 1000 || f.Ptr(nf-1) != ptrs[nf-1] {
+		t.Errorf("reused snapshot = %d words, last %d", f.NumWords(), f.Word(nf-1))
+	}
+	// And an SCX through that link also works end to end, on the highest
+	// pointer field this time.
+	again := fresh()
+	if !p.SCXPtr([]*core.Record{r}, nil, r.PtrField(nf-1), again) {
 		t.Fatal("second SCX on wide record failed")
 	}
-	if got := r.Read(0); got != "again" {
-		t.Errorf("field 0 = %v, want again", got)
+	if got := r.Ptr(nf - 1); got != again {
+		t.Errorf("ptr field %d = %v, want %v", nf-1, got, again)
 	}
 }
 
@@ -142,8 +153,8 @@ func TestLinkTableSpill(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, n)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{i})
-		if _, st := p.LLX(recs[i]); st != core.LLXOK {
+		recs[i] = newWords(uint64(i))
+		if _, st := llx(p, recs[i]); st != core.LLXOK {
 			t.Fatalf("LLX %d failed", i)
 		}
 	}
@@ -155,7 +166,7 @@ func TestLinkTableSpill(t *testing.T) {
 	// Every link, however stored, supports its SCX. Records are untouched in
 	// between, so all SCXs must succeed.
 	for i, r := range recs {
-		if !p.SCX([]*core.Record{r}, nil, r.Field(0), i+1000) {
+		if !p.SCXWord([]*core.Record{r}, nil, r.WordField(0), uint64(i+1000)) {
 			t.Fatalf("SCX %d failed", i)
 		}
 		if p.HasLink(r) {
@@ -163,7 +174,7 @@ func TestLinkTableSpill(t *testing.T) {
 		}
 	}
 	for i, r := range recs {
-		if got := r.Read(0); got != i+1000 {
+		if got := r.Word(0); got != uint64(i+1000) {
 			t.Errorf("rec %d = %v, want %d", i, got, i+1000)
 		}
 	}
@@ -176,8 +187,8 @@ func TestLinkTableSpillVLX(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, n)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{i})
-		if _, st := p.LLX(recs[i]); st != core.LLXOK {
+		recs[i] = newWords(uint64(i))
+		if _, st := llx(p, recs[i]); st != core.LLXOK {
 			t.Fatalf("LLX %d failed", i)
 		}
 	}
@@ -192,10 +203,10 @@ func TestLinkTableSpillVLX(t *testing.T) {
 	// Another process changes one record; the VLX must now fail and consume
 	// every link in its V-sequence.
 	q := core.NewProcess()
-	if _, st := q.LLX(recs[n-1]); st != core.LLXOK {
+	if _, st := llx(q, recs[n-1]); st != core.LLXOK {
 		t.Fatal("LLX by second process failed")
 	}
-	if !q.SCX([]*core.Record{recs[n-1]}, nil, recs[n-1].Field(0), "changed") {
+	if !q.SCXWord([]*core.Record{recs[n-1]}, nil, recs[n-1].WordField(0), n) {
 		t.Fatal("SCX by second process failed")
 	}
 	if p.VLX(recs) {
@@ -215,22 +226,22 @@ func TestLinkTableRelinkAfterSpill(t *testing.T) {
 	p := core.NewProcess()
 	recs := make([]*core.Record, n)
 	for i := range recs {
-		recs[i] = core.NewRecord(1, []any{i})
-		if _, st := p.LLX(recs[i]); st != core.LLXOK {
+		recs[i] = newWords(uint64(i))
+		if _, st := llx(p, recs[i]); st != core.LLXOK {
 			t.Fatalf("LLX %d failed", i)
 		}
 	}
 	// The earliest links are the evicted ones; re-LLX them (moving them back
 	// inline) and SCX through the refreshed links.
 	for i := 0; i < 8; i++ {
-		if _, st := p.LLX(recs[i]); st != core.LLXOK {
+		if _, st := llx(p, recs[i]); st != core.LLXOK {
 			t.Fatalf("re-LLX %d failed", i)
 		}
-		if !p.SCX([]*core.Record{recs[i]}, nil, recs[i].Field(0), i-1000) {
+		if !p.SCXWord([]*core.Record{recs[i]}, nil, recs[i].WordField(0), uint64(i+1000)) {
 			t.Fatalf("SCX %d after re-link failed", i)
 		}
-		if got := recs[i].Read(0); got != i-1000 {
-			t.Errorf("rec %d = %v, want %d", i, got, i-1000)
+		if got := recs[i].Word(0); got != uint64(i+1000) {
+			t.Errorf("rec %d = %v, want %d", i, got, i+1000)
 		}
 	}
 }

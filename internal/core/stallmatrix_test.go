@@ -28,8 +28,8 @@ func TestStallMatrix(t *testing.T) {
 
 	for _, sp := range stallPoints {
 		t.Run(fmt.Sprintf("stallAt%v", sp.kind), func(t *testing.T) {
-			dst := core.NewRecord(1, []any{"old"})
-			victim := core.NewRecord(1, []any{7})
+			dst := newWords(1) // old value 1
+			victim := newWords(7)
 
 			var match func(k core.StepKind, u *core.SCXRecord, r *core.Record) bool
 			if sp.matchSecondRecord {
@@ -49,28 +49,28 @@ func TestStallMatrix(t *testing.T) {
 
 			done := make(chan bool)
 			go func() {
-				done <- owner.SCX([]*core.Record{dst, victim},
-					[]*core.Record{victim}, dst.Field(0), "new")
+				done <- owner.SCXWord([]*core.Record{dst, victim},
+					[]*core.Record{victim}, dst.WordField(0), 2) // new value 2
 			}()
 			u := s.wait(t)
 
 			// One helping LLX on the frozen dst must complete the whole
 			// operation, whatever step the owner stalled at.
 			helper := core.NewProcess()
-			_, st := helper.LLX(dst)
+			_, st := llx(helper, dst)
 			if st == core.LLXOK {
 				t.Fatalf("LLX on record frozen for an in-progress SCX returned OK")
 			}
 			if got := u.State(); got != core.StateCommitted {
 				t.Fatalf("state after helping = %v, want Committed", got)
 			}
-			if got := dst.Read(0); got != "new" {
-				t.Fatalf("dst = %v, want new", got)
+			if got := dst.Word(0); got != 2 {
+				t.Fatalf("dst = %v, want 2", got)
 			}
 			if !victim.Finalized() {
 				t.Fatal("victim not finalized after helping")
 			}
-			if _, st := helper.LLX(victim); st != core.LLXFinalized {
+			if _, st := llx(helper, victim); st != core.LLXFinalized {
 				t.Fatalf("LLX(victim) = %v, want Finalized", st)
 			}
 
@@ -80,7 +80,7 @@ func TestStallMatrix(t *testing.T) {
 			if !<-done {
 				t.Fatal("owner SCX reported failure after being helped")
 			}
-			if got := dst.Read(0); got != "new" {
+			if got := dst.Word(0); got != 2 {
 				t.Fatalf("dst after owner resumed = %v (double apply?)", got)
 			}
 			totalUpdates := owner.Metrics.UpdateCASSuccesses +
@@ -98,8 +98,8 @@ func TestStallMatrix(t *testing.T) {
 func TestStallMatrixSurvivorThroughput(t *testing.T) {
 	for _, kind := range []core.StepKind{core.StepFrozen, core.StepMark, core.StepUpdateCAS, core.StepCommit} {
 		t.Run(fmt.Sprintf("stallAt%v", kind), func(t *testing.T) {
-			shared := core.NewRecord(1, []any{0})
-			victim := core.NewRecord(1, []any{0})
+			shared := newWords(0)
+			victim := newWords(0)
 
 			s := newStall(t, func(k core.StepKind, _ *core.SCXRecord, _ *core.Record) bool {
 				return k == kind
@@ -112,8 +112,8 @@ func TestStallMatrixSurvivorThroughput(t *testing.T) {
 			mustLLX(t, owner, victim)
 			done := make(chan bool)
 			go func() {
-				done <- owner.SCX([]*core.Record{shared, victim},
-					[]*core.Record{victim}, shared.Field(0), -1)
+				done <- owner.SCXWord([]*core.Record{shared, victim},
+					[]*core.Record{victim}, shared.WordField(0), 1)
 			}()
 			s.wait(t)
 
@@ -122,11 +122,11 @@ func TestStallMatrixSurvivorThroughput(t *testing.T) {
 			p := core.NewProcess()
 			completed := 0
 			for completed < 1000 {
-				snap, st := p.LLX(shared)
+				snap, st := llx(p, shared)
 				if st != core.LLXOK {
 					continue
 				}
-				if p.SCX([]*core.Record{shared}, nil, shared.Field(0), snap[0].(int)+1) {
+				if p.SCXWord([]*core.Record{shared}, nil, shared.WordField(0), snap.Word(0)+1) {
 					completed++
 				}
 			}
@@ -135,9 +135,10 @@ func TestStallMatrixSurvivorThroughput(t *testing.T) {
 			if !<-done {
 				t.Fatal("stalled owner reported failure")
 			}
-			// The helped SCX wrote -1 before the survivor's 1000 increments.
-			if got := shared.Read(0); got != 999 {
-				t.Fatalf("final value = %v, want 999", got)
+			// The helped SCX wrote 1 before the survivor's 1000 increments,
+			// and the owner's late update CAS (expecting 0) did not land.
+			if got := shared.Word(0); got != 1001 {
+				t.Fatalf("final value = %v, want 1001", got)
 			}
 		})
 	}

@@ -7,11 +7,11 @@ import (
 	"pragmaprim/internal/core"
 )
 
-// makeChain builds n two-field records.
+// makeChain builds n two-word records.
 func makeChain(n int) []*core.Record {
 	recs := make([]*core.Record, n)
 	for i := range recs {
-		recs[i] = core.NewRecord(2, []any{i, nil}, i)
+		recs[i] = newWords(uint64(i), 0)
 	}
 	return recs
 }
@@ -33,7 +33,7 @@ func TestStepCountUncontendedSCX(t *testing.T) {
 				// non-finalized record when f < k, else any record in V.
 				rset := recs[k-f:]
 				p.Metrics.Reset()
-				if !p.SCX(recs, rset, recs[0].Field(1), "new") {
+				if !p.SCXWord(recs, rset, recs[0].WordField(1), 1) {
 					t.Fatal("uncontended SCX failed")
 				}
 				if got, want := p.Metrics.CASSteps(), int64(k+1); got != want {
@@ -83,7 +83,7 @@ func TestStepCountVLX(t *testing.T) {
 // TestLLXPerformsNoCAS verifies LLX itself is CAS-free when it does not help.
 func TestLLXPerformsNoCAS(t *testing.T) {
 	p := core.NewProcess()
-	r := core.NewRecord(2, []any{1, 2})
+	r := newWords(1, 2)
 	p.Metrics.Reset()
 	mustLLX(t, p, r)
 	if got := p.Metrics.CASSteps(); got != 0 {
@@ -99,14 +99,14 @@ func TestLLXPerformsNoCAS(t *testing.T) {
 func TestStepCountFailedSCX(t *testing.T) {
 	p1 := core.NewProcess()
 	p2 := core.NewProcess()
-	r := core.NewRecord(1, []any{0})
+	r := newWords(0)
 	mustLLX(t, p1, r)
 	mustLLX(t, p2, r)
-	if !p2.SCX([]*core.Record{r}, nil, r.Field(0), 1) {
+	if !p2.SCXWord([]*core.Record{r}, nil, r.WordField(0), 1) {
 		t.Fatal("p2 SCX failed")
 	}
 	p1.Metrics.Reset()
-	if p1.SCX([]*core.Record{r}, nil, r.Field(0), 2) {
+	if p1.SCXWord([]*core.Record{r}, nil, r.WordField(0), 2) {
 		t.Fatal("doomed SCX succeeded")
 	}
 	if got := p1.Metrics.CASSteps(); got != 1 {

@@ -62,15 +62,17 @@ func figure2Edge(a, b pairState) bool {
 
 // sampler records (state, allFrozen) pairs per SCX-record, reading state
 // before allFrozen so that every sampled pair is a vertex of Figure 2 (the
-// frozen step precedes the commit step, and allFrozen is never unset).
+// frozen step precedes the commit step, and allFrozen is never unset). The
+// pair is read under the lock, so each record's samples are appended in the
+// real-time order they were read, even when several helpers sample it.
 type sampler struct {
 	mu      sync.Mutex
 	samples map[*core.SCXRecord][]pairState
 }
 
 func (s *sampler) hook(_ core.StepKind, u *core.SCXRecord, _ *core.Record) {
-	p := pairState{state: u.State(), frozen: u.AllFrozen()}
 	s.mu.Lock()
+	p := pairState{state: u.State(), frozen: u.AllFrozen()}
 	s.samples[u] = append(s.samples[u], p)
 	s.mu.Unlock()
 }
@@ -83,11 +85,11 @@ func TestTransitionsUncontendedCommit(t *testing.T) {
 	defer core.SetStepHook(nil)
 
 	p := core.NewProcess()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 	mustLLX(t, p, a)
 	mustLLX(t, p, b)
-	if !p.SCX([]*core.Record{a, b}, []*core.Record{b}, a.Field(0), 9) {
+	if !p.SCXWord([]*core.Record{a, b}, []*core.Record{b}, a.WordField(0), 9) {
 		t.Fatal("SCX failed")
 	}
 
@@ -121,10 +123,10 @@ func TestTransitionsUncontendedCommit(t *testing.T) {
 func TestTransitionsAbortPath(t *testing.T) {
 	p1 := core.NewProcess()
 	p2 := core.NewProcess()
-	r := core.NewRecord(1, []any{1})
+	r := newWords(1)
 	mustLLX(t, p1, r)
 	mustLLX(t, p2, r)
-	if !p2.SCX([]*core.Record{r}, nil, r.Field(0), 2) {
+	if !p2.SCXWord([]*core.Record{r}, nil, r.WordField(0), 2) {
 		t.Fatal("p2 SCX failed")
 	}
 
@@ -132,7 +134,7 @@ func TestTransitionsAbortPath(t *testing.T) {
 	core.SetStepHook(s.hook)
 	defer core.SetStepHook(nil)
 
-	if p1.SCX([]*core.Record{r}, nil, r.Field(0), 3) {
+	if p1.SCXWord([]*core.Record{r}, nil, r.WordField(0), 3) {
 		t.Fatal("doomed SCX succeeded")
 	}
 	if len(s.samples) != 1 {
@@ -167,9 +169,9 @@ func TestTransitionsConcurrentWorkload(t *testing.T) {
 	const procs = 4
 	const iters = 200
 	recs := []*core.Record{
-		core.NewRecord(1, []any{0}),
-		core.NewRecord(1, []any{0}),
-		core.NewRecord(1, []any{0}),
+		newWords(0),
+		newWords(0),
+		newWords(0),
 	}
 
 	var wg sync.WaitGroup
@@ -181,13 +183,14 @@ func TestTransitionsConcurrentWorkload(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				a := recs[(pid+i)%len(recs)]
 				b := recs[(pid+i+1)%len(recs)]
-				if _, st := p.LLX(a); st != core.LLXOK {
+				sa, st := llx(p, a)
+				if st != core.LLXOK {
 					continue
 				}
-				if _, st := p.LLX(b); st != core.LLXOK {
+				if _, st := llx(p, b); st != core.LLXOK {
 					continue
 				}
-				p.SCX([]*core.Record{a, b}, nil, a.Field(0), pid*iters+i)
+				p.SCXWord([]*core.Record{a, b}, nil, a.WordField(0), sa.Word(0)+1)
 			}
 		}(pid)
 	}
@@ -219,11 +222,11 @@ func TestTransitionsConcurrentWorkload(t *testing.T) {
 // bit never resets and a finalized record stays finalized.
 func TestMarkedMonotonic(t *testing.T) {
 	p := core.NewProcess()
-	r := core.NewRecord(1, []any{0})
-	other := core.NewRecord(1, []any{0})
+	r := newWords(0)
+	other := newWords(0)
 	mustLLX(t, p, other)
 	mustLLX(t, p, r)
-	if !p.SCX([]*core.Record{other, r}, []*core.Record{r}, other.Field(0), 1) {
+	if !p.SCXWord([]*core.Record{other, r}, []*core.Record{r}, other.WordField(0), 1) {
 		t.Fatal("SCX failed")
 	}
 	for i := 0; i < 10; i++ {
@@ -231,7 +234,7 @@ func TestMarkedMonotonic(t *testing.T) {
 			t.Fatal("finalized record reverted")
 		}
 		q := core.NewProcess()
-		if _, st := q.LLX(r); st != core.LLXFinalized {
+		if _, st := llx(q, r); st != core.LLXFinalized {
 			t.Fatalf("LLX = %v, want Finalized", st)
 		}
 	}

@@ -20,13 +20,40 @@ import (
 	"pragmaprim/internal/workload"
 )
 
-// newRecords builds n single-field records initialized to their index.
+// newRecords builds n two-word records whose word 0 holds their index.
 func newRecords(n int) []*core.Record {
 	recs := make([]*core.Record, n)
 	for i := range recs {
-		recs[i] = core.NewRecord(2, []any{i, nil}, i)
+		recs[i] = core.NewTypedRecord(2, 0)
+		recs[i].SetWord(0, uint64(i))
 	}
 	return recs
+}
+
+// linkAll LLXs every record on p, panicking if one fails: the experiments'
+// private records are never contended at that point.
+func linkAll(p *core.Process, recs []*core.Record) {
+	var snap core.Fields
+	for _, r := range recs {
+		if st := p.LLXFields(r, &snap); st != core.LLXOK {
+			panic("harness: LLX failed on private record")
+		}
+	}
+}
+
+// increment is the experiments' template attempt body: bump word 0 of r.
+func increment(r *core.Record) func(*template.Ctx) (struct{}, template.Action) {
+	return func(c *template.Ctx) (struct{}, template.Action) {
+		snap, st := c.LLXF(r)
+		if st != core.LLXOK {
+			return struct{}{}, template.Retry
+		}
+		// New value: one more than the field held (monotone count).
+		if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
+			return struct{}{}, template.Done
+		}
+		return struct{}{}, template.Retry
+	}
 }
 
 // E1StepCount reproduces claim A1 (Section 1): an uncontended SCX over k
@@ -40,13 +67,10 @@ func E1StepCount() *stats.Table {
 		for _, f := range []int{0, k / 2, k} {
 			p := core.NewProcess()
 			recs := newRecords(k)
-			for _, r := range recs {
-				if _, st := p.LLX(r); st != core.LLXOK {
-					panic("harness: LLX failed on private record")
-				}
-			}
+			linkAll(p, recs)
 			p.Metrics.Reset()
-			if !p.SCX(recs, recs[k-f:], recs[0].Field(1), "new") {
+			// New value: 1 into a fresh record's zero word.
+			if !p.SCXWord(recs, recs[k-f:], recs[0].WordField(1), 1) {
 				panic("harness: uncontended SCX failed")
 			}
 			cas, writes := p.Metrics.CASSteps(), p.Metrics.WriteSteps()
@@ -66,11 +90,7 @@ func E2VLXReads() *stats.Table {
 	for k := 1; k <= 8; k++ {
 		p := core.NewProcess()
 		recs := newRecords(k)
-		for _, r := range recs {
-			if _, st := p.LLX(r); st != core.LLXOK {
-				panic("harness: LLX failed on private record")
-			}
-		}
+		linkAll(p, recs)
 		p.Metrics.Reset()
 		if !p.VLX(recs) {
 			panic("harness: uncontended VLX failed")
@@ -107,18 +127,9 @@ func E3Disjoint() *stats.Table {
 					if shared {
 						r = recs[0]
 					}
+					inc := increment(r)
 					for done := 0; done < perProc; done++ {
-						template.Run(h, nil, &eng,
-							func(c *template.Ctx) (struct{}, template.Action) {
-								snap, st := c.LLX(r)
-								if st != core.LLXOK {
-									return struct{}{}, template.Retry
-								}
-								if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
-									return struct{}{}, template.Done
-								}
-								return struct{}{}, template.Retry
-							})
+						template.Run(h, nil, &eng, inc)
 					}
 					metrics[g] = h.Process().Metrics
 				}(g)
@@ -154,13 +165,10 @@ func E4KCASComparison() *stats.Table {
 		// SCX side.
 		p := core.NewProcess()
 		recs := newRecords(k)
-		for _, r := range recs {
-			if _, st := p.LLX(r); st != core.LLXOK {
-				panic("harness: LLX failed")
-			}
-		}
+		linkAll(p, recs)
 		p.Metrics.Reset()
-		if !p.SCX(recs, nil, recs[0].Field(0), -1) {
+		// New value: one more than the field held (monotone count).
+		if !p.SCXWord(recs, nil, recs[0].WordField(0), recs[0].Word(0)+1) {
 			panic("harness: SCX failed")
 		}
 		scxCAS := p.Metrics.CASSteps()
@@ -215,7 +223,8 @@ func E5Progress() *stats.Table {
 	defer core.SetStepHook(nil)
 
 	// Victims: their SCXs freeze records and stall just before the update
-	// CAS, like a crashed process would.
+	// CAS, like a crashed process would. They increment, so their late CAS
+	// cannot land on a value the survivors have counted through.
 	var victims sync.WaitGroup
 	for v := 0; v < stallTarget; v++ {
 		victims.Add(1)
@@ -223,10 +232,12 @@ func E5Progress() *stats.Table {
 			defer victims.Done()
 			p := core.NewProcess()
 			r := recs[v]
-			if _, st := p.LLX(r); st != core.LLXOK {
+			var snap core.Fields
+			if st := p.LLXFields(r, &snap); st != core.LLXOK {
 				return
 			}
-			p.SCX([]*core.Record{r}, nil, r.Field(0), -1-v)
+			// New value: one more than the field held (monotone count).
+			p.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1)
 		}(v)
 	}
 	for i := 0; i < stallTarget; i++ {
@@ -245,18 +256,7 @@ func E5Progress() *stats.Table {
 			h := core.NewHandle()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for done := 0; done < perSurvivor; done++ {
-				r := recs[rng.Intn(len(recs))]
-				template.Run(h, nil, nil,
-					func(c *template.Ctx) (struct{}, template.Action) {
-						snap, st := c.LLX(r)
-						if st != core.LLXOK {
-							return struct{}{}, template.Retry
-						}
-						if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
-							return struct{}{}, template.Done
-						}
-						return struct{}{}, template.Retry
-					})
+				template.Run(h, nil, nil, increment(recs[rng.Intn(len(recs))]))
 				completed.Add(1)
 			}
 		}(g)
@@ -301,15 +301,17 @@ func E6Transitions() *stats.Table {
 		go func(g int) {
 			defer wg.Done()
 			p := core.NewProcess()
+			var sa, sb core.Fields
 			for i := 0; i < perProc; i++ {
 				a, b := recs[(g+i)%3], recs[(g+i+1)%3]
-				if _, st := p.LLX(a); st != core.LLXOK {
+				if st := p.LLXFields(a, &sa); st != core.LLXOK {
 					continue
 				}
-				if _, st := p.LLX(b); st != core.LLXOK {
+				if st := p.LLXFields(b, &sb); st != core.LLXOK {
 					continue
 				}
-				p.SCX([]*core.Record{a, b}, nil, a.Field(0), g*perProc+i)
+				// New value: one more than the field held (monotone count).
+				p.SCXWord([]*core.Record{a, b}, nil, a.WordField(0), sa.Word(0)+1)
 			}
 		}(g)
 	}

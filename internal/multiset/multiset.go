@@ -251,14 +251,12 @@ func (s Session[K]) Insert(key K, count int) {
 	template.Run(s.h, m.policy, &m.insStats, func(c *template.Ctx) (struct{}, template.Action) {
 		r, p := m.search(key)
 		if r.matches(key) {
-			// Key present: bump r.count in place (Figure 5(b)). The in-place
-			// word CAS is ABA-safe: a stale helper can only reach the update
-			// CAS while the record's info chain still designates its
-			// descriptor (see DESIGN.md).
+			// Key present: bump r.count in place (Figure 5(b)).
 			localr, st := c.LLXF(&r.rec)
 			if st != core.LLXOK {
 				return struct{}{}, template.Retry
 			}
+			// New value: count + n with n > 0; a node's count only grows.
 			if c.SCXWord([]*core.Record{&r.rec}, nil,
 				r.rec.WordField(fieldCount), localr.Word(fieldCount)+uint64(count)) {
 				if fresh != nil {
@@ -281,6 +279,7 @@ func (s Session[K]) Insert(key K, count int) {
 		} else {
 			initNode(fresh, kindInterior, key, count, r) // retarget for this attempt
 		}
+		// New value: a fresh node.
 		if c.SCXPtr([]*core.Record{&p.rec}, nil, p.rec.PtrField(fieldNext),
 			unsafe.Pointer(fresh)) {
 			return struct{}{}, template.Done
@@ -330,6 +329,7 @@ func (s Session[K]) Delete(key K, count int) bool {
 			} else {
 				initNode(fresh, kindInterior, r.key, reduced, rnext)
 			}
+			// New value: a fresh reduced-count copy of r.
 			if c.SCXPtr([]*core.Record{&p.rec, &r.rec}, []*core.Record{&r.rec},
 				p.rec.PtrField(fieldNext), unsafe.Pointer(fresh)) {
 				m.pool.Retire(c.Reclaim(), r)
@@ -352,6 +352,8 @@ func (s Session[K]) Delete(key K, count int) bool {
 			initNode(fresh, rnext.kind, rnext.key,
 				int(localrn.Word(fieldCount)), (*node[K])(localrn.Ptr(fieldNext)))
 		}
+		// New value: a fresh copy of r's successor, never the successor
+		// itself (p.next may have held it before r was spliced in).
 		if c.SCXPtr([]*core.Record{&p.rec, &r.rec, &rnext.rec},
 			[]*core.Record{&r.rec, &rnext.rec},
 			p.rec.PtrField(fieldNext), unsafe.Pointer(fresh)) {

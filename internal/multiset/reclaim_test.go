@@ -144,7 +144,9 @@ func TestEpochStallBoundsLimbo(t *testing.T) {
 		t.Error("a parked epoch must force limbo overflow to drop to the GC")
 	}
 	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants under stall: %v", err)
+		// Not Fatalf: the handles below must still be released, or their
+		// announcements pin the epoch for every later test in the binary.
+		t.Errorf("invariants under stall: %v", err)
 	}
 
 	// Exiting the operation does NOT unpin the epoch: the announcement is

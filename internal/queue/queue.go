@@ -15,6 +15,10 @@
 // swing commits (the hint-advance SCX includes the target node in its
 // V-sequence to get exactly that guarantee). See DESIGN.md.
 //
+// No pointer field is ever given a value it held before (the paper's
+// Section 4.1 rule): a node's next goes from nil to a fresh node once, and
+// the head and the tail hint only ever move forward along the list.
+//
 // Methods never take a *core.Process: plain calls acquire a pooled Handle
 // per operation, and hot paths bind one with Attach.
 package queue
@@ -153,10 +157,8 @@ func (s Session[T]) Enqueue(val T) {
 			n = q.newNode(c.Reclaim(), val, nil)
 		}
 		// Find the last node, starting from the (possibly lagging) hint.
-		last := q.tailHint()
-		if last == nil {
-			last = q.head()
-		}
+		from := q.tailHint()
+		last := from
 		for {
 			nxt := last.next()
 			if nxt == nil {
@@ -171,34 +173,44 @@ func (s Session[T]) Enqueue(val T) {
 		if localLast.Ptr(nodeNext) != nil {
 			return struct{}{}, template.Retry // someone appended after our walk
 		}
+		// New value: a fresh node, into a next that was nil.
 		if c.SCXPtr([]*core.Record{&last.rec}, nil, last.rec.PtrField(nodeNext),
 			unsafe.Pointer(n)) {
-			q.advanceTail(c, n)
+			q.advanceTail(c, from, n)
 			return struct{}{}, template.Done
 		}
 		return struct{}{}, template.Retry
 	})
 }
 
-// advanceTail best-effort moves the tail hint to n; a failure just leaves
+// advanceTail best-effort moves the tail hint from `from`, where the
+// enqueue's walk started, to n, the node it appended; a failure just leaves
 // the hint lagging, which only costs later enqueues a longer walk. It uses
 // the raw primitives rather than the Ctx so its expected-and-harmless
 // failures never count as operation contention in the engine stats.
+//
+// The swing happens only while the hint still designates from: n lies
+// after from, so the hint only moves forward and never gets a value back
+// (an unconditional swing could move it back behind a later enqueue's node).
 //
 // n is part of the SCX's V-sequence: the swing commits only if n is still
 // un-finalized at that instant, which preserves the invariant that the tail
 // hint never designates a retired node — the property node recycling
 // depends on (a dangling hint would let an enqueue walk off a node whose
 // storage has been reused).
-func (q *Queue[T]) advanceTail(c *template.Ctx, n *node[T]) {
+func (q *Queue[T]) advanceTail(c *template.Ctx, from, n *node[T]) {
 	p := c.Process()
 	var entryBuf, nodeBuf core.Fields
 	if st := p.LLXFields(q.entry, &entryBuf); st != core.LLXOK {
 		return
 	}
+	if (*node[T])(entryBuf.Ptr(entryTail)) != from {
+		return // the hint moved on, possibly past n
+	}
 	if st := p.LLXFields(&n.rec, &nodeBuf); st != core.LLXOK {
 		return // n already dequeued and finalized: it must not become the hint
 	}
+	// New value: n, after the current hint in list order.
 	p.SCXPtr([]*core.Record{q.entry, &n.rec}, nil,
 		q.entry.PtrField(entryTail), unsafe.Pointer(n))
 }
@@ -221,6 +233,8 @@ func (q *Queue[T]) clearTailHint(c *template.Ctx, d *node[T]) {
 			return
 		}
 		target := entryBuf.Ptr(entryHead)
+		// New value: the head, which lies after d in list order (the hint
+		// only moves forward).
 		if p.SCXPtr([]*core.Record{q.entry}, nil,
 			q.entry.PtrField(entryTail), target) {
 			return
@@ -259,7 +273,8 @@ func (s Session[T]) Dequeue() (T, bool) {
 			return deqResult[T]{}, template.Retry
 		}
 		// Swing head to f (which becomes the new dummy) and finalize the
-		// old dummy; f's value is the dequeued element.
+		// old dummy; f's value is the dequeued element. New value: the
+		// head's successor (the head only moves forward).
 		if c.SCXPtr([]*core.Record{q.entry, &d.rec}, []*core.Record{&d.rec},
 			q.entry.PtrField(entryHead), unsafe.Pointer(f)) {
 			val := f.val

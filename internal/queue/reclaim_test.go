@@ -161,6 +161,10 @@ func TestQueueFIFOPerProducerUnderRecycling(t *testing.T) {
 func TestQueueReuseAfterWarmup(t *testing.T) {
 	q := queue.New[int]()
 	h := core.NewHandle()
+	// Unpublish the handle's announcement once the stats are read: a leaked
+	// announcement pins the global epoch for every later test (and every
+	// later -count repetition of this one).
+	defer h.Release()
 	s := q.Attach(h)
 	for i := 0; i < 500; i++ {
 		s.Enqueue(i)

@@ -32,8 +32,7 @@
 //     could reach e+2.
 //
 // Entries may carry a ready predicate (SCX descriptors use one: "no record's
-// info field points at this descriptor any more, and the descriptor's
-// embedded legacy box is not installed in any field"). Such entries get a
+// info field points at this descriptor any more"). Such entries get a
 // SECOND full grace period measured from the moment the predicate is first
 // observed true. The re-stamp is load-bearing: a descriptor is typically
 // retired long before it is displaced from the info fields of the records it

@@ -1,17 +1,18 @@
 // Package stack implements a non-blocking LIFO stack on the LLX/SCX
 // primitives — the Treiber stack restated in the paper's template. The
 // entry point's top pointer is the only mutable word; cells are fully
-// immutable, and each pop finalizes exactly the cell it unlinks. Push and
-// Pop run on the internal/template engine like every other structure.
+// immutable. Push and Pop run on the internal/template engine like every
+// other structure.
 //
-// Storage is de-boxed (the top pointer is a raw pointer word) and popped
-// cells are recycled through internal/reclaim. The classic Treiber ABA
-// hazard — top returning to a previously seen cell address — is excluded
-// the paper's way for the protocol (a stale helper can act only while the
-// entry's info chain still designates its descriptor) and by the epoch
-// grace periods for storage reuse (a cell's address cannot be re-pushed
-// while any process that could still expect its old identity is inside an
-// operation).
+// The stack ends in a bottom sentinel cell (the one cell whose next is
+// nil), so top is never nil. Storage is de-boxed (the top pointer is a raw
+// pointer word) and popped cells are recycled through internal/reclaim.
+//
+// Top must never get a cell back (the paper's Section 4.1 rule): a helper
+// of "push c" stalled at its update CAS expects top to hold c's successor,
+// so a pop that swung top back to it would let the stale CAS re-push c.
+// Pop therefore finalizes the popped cell and its successor and installs a
+// fresh copy of the successor, like the multiset's delete (Figure 5(c)).
 //
 // Methods never take a *core.Process: plain calls acquire a pooled Handle
 // per operation, and hot paths bind one with Attach.
@@ -29,12 +30,16 @@ const entryTop = 0 // ptr 0 of the entry record: top of stack
 
 // cell is one stack cell; both fields are immutable while published, so
 // cells are Data-records with zero mutable fields. The record is embedded:
-// cell plus record are one allocation, recycled together.
+// cell plus record are one allocation, recycled together. The bottom
+// sentinel is the cell with a nil next.
 type cell[T any] struct {
 	rec  core.Record
 	val  T
 	next *cell[T]
 }
+
+// bottom reports whether c is the bottom sentinel.
+func (c *cell[T]) bottom() bool { return c.next == nil }
 
 // Stack is a non-blocking LIFO stack. The zero value is not usable; create
 // one with New. All methods are safe for concurrent use.
@@ -46,7 +51,8 @@ type Stack[T any] struct {
 	popStats  template.OpStats
 }
 
-// New creates an empty stack.
+// New creates an empty stack: the entry point designates a bottom
+// sentinel.
 func New[T any]() *Stack[T] {
 	s := &Stack[T]{
 		entry: core.NewTypedRecord(0, 1),
@@ -55,6 +61,8 @@ func New[T any]() *Stack[T] {
 	// Rewind records as cells enter the freelists, releasing the
 	// descriptors their info fields would otherwise park (see reclaim).
 	s.pool.SetOnFree(func(c *cell[T]) { c.rec.Recycle() })
+	var zero T
+	s.entry.SetPtr(entryTop, unsafe.Pointer(s.newCell(nil, zero, nil)))
 	return s
 }
 
@@ -141,6 +149,7 @@ func (v Session[T]) Push(val T) {
 		} else {
 			fresh.next = topCell
 		}
+		// New value: a freshly allocated or recycled cell.
 		if c.SCXPtr([]*core.Record{s.entry}, nil, s.entry.PtrField(entryTop),
 			unsafe.Pointer(fresh)) {
 			return struct{}{}, template.Done
@@ -156,28 +165,46 @@ type popResult[T any] struct {
 }
 
 // Pop removes and returns the top element; ok is false when the stack is
-// (momentarily) empty.
+// (momentarily) empty. It unlinks the top cell and its successor together,
+// finalizing both, and installs a fresh copy of the successor (see the
+// package comment for why top must not get the successor itself back).
 func (v Session[T]) Pop() (T, bool) {
 	s := v.s
+	var fresh *cell[T] // the successor's copy, built at most once per operation
 	res := template.Run(v.h, s.policy, &s.popStats, func(c *template.Ctx) (popResult[T], template.Action) {
 		localEntry, st := c.LLXF(s.entry)
 		if st != core.LLXOK {
 			return popResult[T]{}, template.Retry
 		}
 		topCell := (*cell[T])(localEntry.Ptr(entryTop))
-		if topCell == nil {
+		if topCell.bottom() {
 			// The LLX snapshot itself is the atomic emptiness witness.
+			if fresh != nil {
+				s.pool.Release(c.Reclaim(), fresh) // never published
+			}
 			return popResult[T]{}, template.Done
 		}
-		// Cells have no mutable fields: their LLX links without copying.
+		// Cells have no mutable fields: their LLXs link without copying.
 		if _, st := c.LLXF(&topCell.rec); st != core.LLXOK {
 			return popResult[T]{}, template.Retry
 		}
-		if c.SCXPtr([]*core.Record{s.entry, &topCell.rec},
-			[]*core.Record{&topCell.rec},
-			s.entry.PtrField(entryTop), unsafe.Pointer(topCell.next)) {
+		succ := topCell.next
+		if _, st := c.LLXF(&succ.rec); st != core.LLXOK {
+			return popResult[T]{}, template.Retry
+		}
+		if fresh == nil {
+			fresh = s.newCell(c.Reclaim(), succ.val, succ.next)
+		} else {
+			fresh.val, fresh.next = succ.val, succ.next
+		}
+		// New value: a fresh copy of the successor; top never gets an older
+		// cell back.
+		if c.SCXPtr([]*core.Record{s.entry, &topCell.rec, &succ.rec},
+			[]*core.Record{&topCell.rec, &succ.rec},
+			s.entry.PtrField(entryTop), unsafe.Pointer(fresh)) {
 			val := topCell.val
 			s.pool.Retire(c.Reclaim(), topCell)
+			s.pool.Retire(c.Reclaim(), succ)
 			return popResult[T]{val: val, ok: true}, template.Done
 		}
 		return popResult[T]{}, template.Retry
@@ -191,7 +218,7 @@ func (v Session[T]) Pop() (T, bool) {
 // under concurrency.
 func (s *Stack[T]) Peek() (val T, ok bool) {
 	template.Guarded(func() {
-		if t := s.top(); t != nil {
+		if t := s.top(); !t.bottom() {
 			val, ok = t.val, true
 		}
 	})
@@ -202,7 +229,7 @@ func (s *Stack[T]) Peek() (val T, ok bool) {
 // consistent under concurrency.
 func (s *Stack[T]) Len() (n int) {
 	template.Guarded(func() {
-		for c := s.top(); c != nil; c = c.next {
+		for c := s.top(); !c.bottom(); c = c.next {
 			n++
 		}
 	})
@@ -215,7 +242,7 @@ func (s *Stack[T]) Len() (n int) {
 func (s *Stack[T]) Items() []T {
 	var out []T
 	template.Guarded(func() {
-		for c := s.top(); c != nil; c = c.next {
+		for c := s.top(); !c.bottom(); c = c.next {
 			out = append(out, c.val)
 		}
 	})

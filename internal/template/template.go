@@ -5,13 +5,14 @@
 // structures here (multiset, bst, trie, queue, stack) used to hand-roll that
 // loop. Run owns it instead: the retry loop, the retry policy (immediate,
 // capped spin backoff, spin-then-yield), the per-operation attempt/failure
-// counters, the reusable LLXInto snapshot buffers that keep the fast path
+// counters, the reusable Fields snapshot buffers that keep the fast path
 // allocation-free, and the guard that turns a would-spin-forever retry on a
 // finalized record into a crash with a diagnosis.
 //
 // An operation supplies only its attempt body: position with plain reads,
-// link records with Ctx.LLX, validate the snapshots, and either commit with
-// Ctx.SCX (or Ctx.VLX for read validation) and return Done, or return Retry.
+// link records with Ctx.LLXF, validate the snapshots, and either commit with
+// Ctx.SCXWord/Ctx.SCXPtr (or Ctx.VLX for read validation) and return Done,
+// or return Retry.
 // Everything else — when to back off, what to count, which snapshot buffer a
 // link uses — is the engine's job, so a new structure gets the whole of PR
 // 1's zero-allocation fast path by construction.
@@ -36,14 +37,10 @@ const (
 	Done
 )
 
-// Geometry of a Ctx's snapshot-buffer and read-set arrays. The widest
-// V-sequence any structure here links is 4 records (BST and trie deletes),
-// and no record has more than core's inline 4 mutable fields; 6×4 leaves
-// headroom without making the cached Ctx large.
-const (
-	maxLinks = 6
-	maxWidth = 4
-)
+// maxLinks sizes a Ctx's snapshot-buffer and read-set arrays. The widest
+// V-sequence any structure here links is 4 records (BST and trie deletes);
+// 6 leaves headroom without making the cached Ctx large.
+const maxLinks = 6
 
 // Ctx is the per-attempt face of the engine: it hands out snapshot buffers,
 // forwards to the LLX/SCX/VLX primitives, and records what happened for the
@@ -56,20 +53,24 @@ type Ctx struct {
 	// Snapshot buffers, one per LLX of the current attempt. They are reused
 	// across attempts and operations (the engine caches the Ctx on the
 	// Handle), which is safe because an attempt that fails abandons its
-	// snapshots and a Done attempt consumes them before Run returns. Legacy
-	// boxed links use bufs; typed links use fbufs.
-	bufs  [maxLinks][maxWidth]any
-	nbuf  int
+	// snapshots and a Done attempt consumes them before Run returns.
 	fbufs [maxLinks]core.Fields
 	nfbuf int
 
 	// Read set of the current and previous attempt, for the finalized-spin
-	// guard (see Run).
-	linked    [maxLinks]*core.Record
-	nlinked   int
-	prev      [maxLinks]*core.Record
-	nprev     int
-	finalized bool
+	// guard (see Run). try numbers attempts; fin/finTry record the last
+	// record an attempt saw finalized and that attempt's number, and
+	// prevFin/prevFinTry the same for an earlier attempt. Only the
+	// LLXFinalized branch writes them.
+	linked     [maxLinks]*core.Record
+	nlinked    int
+	prev       [maxLinks]*core.Record
+	nprev      int
+	try        uint64
+	fin        *core.Record
+	finTry     uint64
+	prevFin    *core.Record
+	prevFinTry uint64
 
 	// Per-operation tallies, flushed to the OpStats once per Run.
 	llxFails int64
@@ -92,32 +93,9 @@ func (c *Ctx) Process() *core.Process { return c.proc }
 // the same goroutine.
 func (c *Ctx) Reclaim() *reclaim.Local { return c.recl }
 
-// LLX load-link-extends r through an engine-owned snapshot buffer, so the
-// link allocates nothing for records up to maxWidth mutable fields. The
-// returned Snapshot is valid until the attempt returns.
-func (c *Ctx) LLX(r *core.Record) (core.Snapshot, core.LLXStatus) {
-	var buf core.Snapshot
-	if c.nbuf < maxLinks {
-		buf = c.bufs[c.nbuf][:]
-		c.nbuf++
-	}
-	snap, st := c.proc.LLXInto(r, buf)
-	if c.nlinked < maxLinks {
-		c.linked[c.nlinked] = r
-		c.nlinked++
-	}
-	switch st {
-	case core.LLXFinalized:
-		c.finalized = true
-	case core.LLXFail:
-		c.llxFails++
-	}
-	return snap, st
-}
-
-// LLXF load-link-extends a typed record through an engine-owned Fields
-// buffer: the de-boxed, allocation-free counterpart of LLX. The returned
-// snapshot is valid until the attempt returns.
+// LLXF load-link-extends r through an engine-owned Fields buffer, so the
+// link allocates nothing for records up to core's inline field width. The
+// returned snapshot is valid until the attempt returns.
 func (c *Ctx) LLXF(r *core.Record) (*core.Fields, core.LLXStatus) {
 	var f *core.Fields
 	if c.nfbuf < maxLinks {
@@ -133,27 +111,21 @@ func (c *Ctx) LLXF(r *core.Record) (*core.Fields, core.LLXStatus) {
 	}
 	switch st {
 	case core.LLXFinalized:
-		c.finalized = true
+		if c.finTry != c.try {
+			c.prevFin, c.prevFinTry = c.fin, c.finTry
+		}
+		c.fin, c.finTry = r, c.try
 	case core.LLXFail:
 		c.llxFails++
 	}
 	return f, st
 }
 
-// SCX commits the attempt's update: one atomic store into fld plus
-// finalization of rset, conditional on every record in v being unchanged
-// since this attempt's LLX on it. Neither v nor rset is retained, so slice
-// literals at the call site stay on the caller's stack.
-func (c *Ctx) SCX(v []*core.Record, rset []*core.Record, fld core.FieldRef, newVal any) bool {
-	ok := c.proc.SCX(v, rset, fld, newVal)
-	if !ok {
-		c.scxFails++
-	}
-	return ok
-}
-
-// SCXWord commits an update to a uint64 word field of a typed record; see
-// Process.SCXWord for the value-freshness obligation.
+// SCXWord commits the attempt's update: one atomic store of newWord into
+// the word field fld plus finalization of rset, conditional on every record
+// in v being unchanged since this attempt's LLX on it. newWord must be a
+// value fld has never held (see Process.SCXWord). Neither v nor rset is
+// retained, so slice literals at the call site stay on the caller's stack.
 func (c *Ctx) SCXWord(v []*core.Record, rset []*core.Record, fld core.FieldRef, newWord uint64) bool {
 	ok := c.proc.SCXWord(v, rset, fld, newWord)
 	if !ok {
@@ -162,8 +134,9 @@ func (c *Ctx) SCXWord(v []*core.Record, rset []*core.Record, fld core.FieldRef, 
 	return ok
 }
 
-// SCXPtr commits an update to a pointer field of a typed record; newPtr
-// must be fresh or recycled through internal/reclaim (see Process.SCXPtr).
+// SCXPtr is SCXWord for a pointer field; newPtr must be fresh or recycled
+// through internal/reclaim, never nil or an older value (see
+// Process.SCXPtr).
 func (c *Ctx) SCXPtr(v []*core.Record, rset []*core.Record, fld core.FieldRef, newPtr unsafe.Pointer) bool {
 	ok := c.proc.SCXPtr(v, rset, fld, newPtr)
 	if !ok {
@@ -191,17 +164,21 @@ func (c *Ctx) beginAttempt() {
 	c.nprev = c.nlinked
 	copy(c.prev[:c.nprev], c.linked[:c.nlinked])
 	c.nlinked = 0
-	c.nbuf = 0
 	c.nfbuf = 0
-	c.finalized = false
+	c.try++
 }
 
-// pinned reports whether the attempt that just failed saw a finalized
-// record AND linked exactly the records its predecessor linked, in order.
-// Retrying such an attempt cannot ever succeed — a finalized record never
-// changes again — so the engine refuses to spin on it (see Run).
+// pinned reports whether the attempt that just failed saw LLXFinalized on
+// the same record as its predecessor AND linked exactly the records its
+// predecessor linked, in order. Retrying such an attempt cannot ever
+// succeed — a finalized record never changes again — so the engine refuses
+// to spin on it (see Run). A failed attempt whose predecessor linked the
+// same records without finding that one finalized is ordinary contention:
+// the record was finalized between the two attempts, and the next attempt's
+// re-search moves past it.
 func (c *Ctx) pinned() bool {
-	if !c.finalized || c.nlinked == 0 || c.nlinked != c.nprev {
+	if c.finTry != c.try || c.prevFinTry != c.try-1 || c.fin != c.prevFin ||
+		c.nlinked == 0 || c.nlinked != c.nprev {
 		return false
 	}
 	for i := 0; i < c.nlinked; i++ {
@@ -279,14 +256,14 @@ func Guarded(fn func()) {
 // contract: after a failed SCX the caller must re-LLX before retrying).
 // That is what makes reusing the buffers across retries safe.
 //
-// Finalized-spin guard: if a failed attempt saw LLXFinalized and linked
-// exactly the same records as the attempt before it, no future attempt can
-// ever succeed (a finalized record is permanently frozen), so Run panics
-// with a diagnosis instead of spinning forever. Structures never trip this:
-// their attempts re-search from an entry point that is never finalized, so a
-// finalized record vanishes from the read set on the next try. Only an
-// attempt body that hard-codes a finalizable record can, and that is a
-// programming error worth crashing on.
+// Finalized-spin guard: if two consecutive failed attempts saw
+// LLXFinalized on the same record and linked exactly the same records, no
+// future attempt can ever succeed (a finalized record is permanently
+// frozen), so Run panics with a diagnosis instead of spinning forever.
+// Structures never trip this: their attempts re-search from an entry point
+// that is never finalized, so a finalized record vanishes from the read set
+// on the next try. Only an attempt body that hard-codes a finalizable record
+// can, and that is a programming error worth crashing on.
 func Run[T any](h *core.Handle, pol Policy, st *OpStats, attempt func(*Ctx) (T, Action)) T {
 	c := ctxOf(h)
 	c.nlinked, c.nprev = 0, 0

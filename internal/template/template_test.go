@@ -5,24 +5,50 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pragmaprim/internal/core"
 	"pragmaprim/internal/template"
 )
 
+// newWords returns a record whose word fields hold vals, in order.
+func newWords(vals ...uint64) *core.Record {
+	r := core.NewTypedRecord(len(vals), 0)
+	for i, v := range vals {
+		r.SetWord(i, v)
+	}
+	return r
+}
+
+// llx is LLXFields returning the snapshot by value, for test brevity.
+func llx(p *core.Process, r *core.Record) (core.Fields, core.LLXStatus) {
+	var f core.Fields
+	st := p.LLXFields(r, &f)
+	return f, st
+}
+
+func mustLLX(t *testing.T, p *core.Process, r *core.Record) core.Fields {
+	t.Helper()
+	snap, st := llx(p, r)
+	if st != core.LLXOK {
+		t.Fatalf("LLX = %v, want OK", st)
+	}
+	return snap
+}
+
 // TestRunUncontendedSingleAttempt pins the quiet-path accounting: one
 // operation, one attempt, no failures.
 func TestRunUncontendedSingleAttempt(t *testing.T) {
 	h := core.NewHandle()
-	r := core.NewRecord(1, []any{0})
+	r := newWords(0)
 	var st template.OpStats
 	got := template.Run(h, nil, &st, func(c *template.Ctx) (int, template.Action) {
-		snap, s := c.LLX(r)
+		snap, s := c.LLXF(r)
 		if s != core.LLXOK {
 			return 0, template.Retry
 		}
-		if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+7) {
-			return snap[0].(int) + 7, template.Done
+		if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+7) {
+			return int(snap.Word(0)) + 7, template.Done
 		}
 		return 0, template.Retry
 	})
@@ -48,7 +74,7 @@ func TestRunContendedCountersMatchObservedRetries(t *testing.T) {
 	}
 	const perG = 2000
 
-	r := core.NewRecord(1, []any{0})
+	r := newWords(0)
 	var st template.OpStats
 	observed := make([]int64, procs) // attempt-body executions per goroutine
 
@@ -61,11 +87,11 @@ func TestRunContendedCountersMatchObservedRetries(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				template.Run(h, nil, &st, func(c *template.Ctx) (struct{}, template.Action) {
 					observed[g]++
-					snap, s := c.LLX(r)
+					snap, s := c.LLXF(r)
 					if s != core.LLXOK {
 						return struct{}{}, template.Retry
 					}
-					if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+					if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 						return struct{}{}, template.Done
 					}
 					return struct{}{}, template.Retry
@@ -96,7 +122,7 @@ func TestRunContendedCountersMatchObservedRetries(t *testing.T) {
 			snap.LLXFails, snap.SCXFails, snap.Retries())
 	}
 	// All increments landed: the record's final value is the total op count.
-	if got := r.Read(0).(int); got != procs*perG {
+	if got := r.Word(0); got != uint64(procs*perG) {
 		t.Errorf("final value = %d, want %d", got, procs*perG)
 	}
 }
@@ -107,15 +133,15 @@ func TestRunContendedCountersMatchObservedRetries(t *testing.T) {
 func TestRunFinalizedAbortsInsteadOfSpinning(t *testing.T) {
 	// Build a finalized record: an SCX over (a, b) finalizing b.
 	setup := core.NewProcess()
-	a := core.NewRecord(1, []any{0})
-	b := core.NewRecord(1, []any{0})
-	if _, st := setup.LLX(a); st != core.LLXOK {
+	a := newWords(0)
+	b := newWords(0)
+	if _, st := llx(setup, a); st != core.LLXOK {
 		t.Fatal("setup LLX(a) failed")
 	}
-	if _, st := setup.LLX(b); st != core.LLXOK {
+	if _, st := llx(setup, b); st != core.LLXOK {
 		t.Fatal("setup LLX(b) failed")
 	}
-	if !setup.SCX([]*core.Record{a, b}, []*core.Record{b}, a.Field(0), 1) {
+	if !setup.SCXWord([]*core.Record{a, b}, []*core.Record{b}, a.WordField(0), 1) {
 		t.Fatal("setup finalizing SCX failed")
 	}
 	if !b.Finalized() {
@@ -135,7 +161,7 @@ func TestRunFinalizedAbortsInsteadOfSpinning(t *testing.T) {
 	h := core.NewHandle()
 	template.Run(h, nil, nil, func(c *template.Ctx) (struct{}, template.Action) {
 		// Deliberately broken attempt: always retries the same record.
-		if _, st := c.LLX(b); st == core.LLXOK {
+		if _, st := c.LLXF(b); st == core.LLXOK {
 			return struct{}{}, template.Done
 		}
 		return struct{}{}, template.Retry
@@ -147,16 +173,16 @@ func TestRunFinalizedAbortsInsteadOfSpinning(t *testing.T) {
 // structure's re-search does) must complete normally.
 func TestRunFinalizedRecoversWhenReadSetChanges(t *testing.T) {
 	setup := core.NewProcess()
-	a := core.NewRecord(1, []any{0})
-	b := core.NewRecord(1, []any{0})
-	live := core.NewRecord(1, []any{10})
-	if _, st := setup.LLX(a); st != core.LLXOK {
+	a := newWords(0)
+	b := newWords(0)
+	live := newWords(10)
+	if _, st := llx(setup, a); st != core.LLXOK {
 		t.Fatal("setup LLX(a) failed")
 	}
-	if _, st := setup.LLX(b); st != core.LLXOK {
+	if _, st := llx(setup, b); st != core.LLXOK {
 		t.Fatal("setup LLX(b) failed")
 	}
-	if !setup.SCX([]*core.Record{a, b}, []*core.Record{b}, a.Field(0), 1) {
+	if !setup.SCXWord([]*core.Record{a, b}, []*core.Record{b}, a.WordField(0), 1) {
 		t.Fatal("setup finalizing SCX failed")
 	}
 
@@ -169,12 +195,12 @@ func TestRunFinalizedRecoversWhenReadSetChanges(t *testing.T) {
 		if tries > 1 {
 			target = live // ...then the "search" finds the live one
 		}
-		snap, s := c.LLX(target)
+		snap, s := c.LLXF(target)
 		if s != core.LLXOK {
 			return 0, template.Retry
 		}
-		if c.SCX([]*core.Record{target}, nil, target.Field(0), snap[0].(int)+1) {
-			return snap[0].(int) + 1, template.Done
+		if c.SCXWord([]*core.Record{target}, nil, target.WordField(0), snap.Word(0)+1) {
+			return int(snap.Word(0)) + 1, template.Done
 		}
 		return 0, template.Retry
 	})
@@ -186,25 +212,84 @@ func TestRunFinalizedRecoversWhenReadSetChanges(t *testing.T) {
 	}
 }
 
+// TestRunFinalizedAfterContentionIsNotPinned is the guard's regression
+// test for a legitimate interleaving (the queue's dequeue hits it): attempt
+// 1 links [entry, x] with both LLXs OK and its SCX fails because a
+// concurrent SCX changed another field of entry; attempt 2 links the same
+// [entry, x] but a concurrent operation finalizes x (and moves entry past
+// it) between the two LLXs. The read sets match and attempt 2 saw
+// LLXFinalized, yet x was not finalized in attempt 1, so the operation is
+// not pinned: attempt 3 re-reads entry and must complete. The concurrent
+// operations run on a second Process inside the attempt body, which makes
+// the interleaving deterministic.
+func TestRunFinalizedAfterContentionIsNotPinned(t *testing.T) {
+	// entry: word 0 a version, ptr 0 the current target record.
+	entry := core.NewTypedRecord(1, 1)
+	x, y := newWords(0), newWords(10)
+	entry.SetPtr(0, unsafe.Pointer(x))
+	other := core.NewProcess()
+
+	h := core.NewHandle()
+	defer h.Release()
+	var st template.OpStats
+	tries := 0
+	got := template.Run(h, nil, &st, func(c *template.Ctx) (uint64, template.Action) {
+		tries++
+		le, s := c.LLXF(entry)
+		if s != core.LLXOK {
+			return 0, template.Retry
+		}
+		target := (*core.Record)(le.Ptr(0))
+		switch tries {
+		case 1: // bump entry's version; entry still designates x
+			oe := mustLLX(t, other, entry)
+			if !other.SCXWord([]*core.Record{entry}, nil, entry.WordField(0), oe.Word(0)+1) {
+				t.Fatal("interfering version bump failed")
+			}
+		case 2: // finalize x and swing entry to y
+			mustLLX(t, other, entry)
+			mustLLX(t, other, x)
+			if !other.SCXPtr([]*core.Record{entry, x}, []*core.Record{x},
+				entry.PtrField(0), unsafe.Pointer(y)) {
+				t.Fatal("interfering finalize failed")
+			}
+		}
+		lt, s := c.LLXF(target)
+		if s != core.LLXOK {
+			return 0, template.Retry
+		}
+		if c.SCXWord([]*core.Record{entry, target}, nil, target.WordField(0), lt.Word(0)+1) {
+			return lt.Word(0) + 1, template.Done
+		}
+		return 0, template.Retry
+	})
+	if got != 11 {
+		t.Fatalf("Run = %d, want 11 (y incremented)", got)
+	}
+	if snap := st.Snapshot(); snap.Attempts != 3 || snap.LLXFails != 0 || snap.SCXFails != 1 {
+		t.Fatalf("counters = %+v, want 3 attempts with 1 SCX failure", snap)
+	}
+}
+
 // TestRunVLXPath pins the read-only commit: a VLX-validated observation
 // completes the operation without an SCX.
 func TestRunVLXPath(t *testing.T) {
 	h := core.NewHandle()
-	a := core.NewRecord(1, []any{1})
-	b := core.NewRecord(1, []any{2})
+	a := newWords(1)
+	b := newWords(2)
 	sum := template.Run(h, nil, nil, func(c *template.Ctx) (int, template.Action) {
-		sa, st := c.LLX(a)
+		sa, st := c.LLXF(a)
 		if st != core.LLXOK {
 			return 0, template.Retry
 		}
-		sb, st := c.LLX(b)
+		sb, st := c.LLXF(b)
 		if st != core.LLXOK {
 			return 0, template.Retry
 		}
 		if !c.VLX([]*core.Record{a, b}) {
 			return 0, template.Retry
 		}
-		return sa[0].(int) + sb[0].(int), template.Done
+		return int(sa.Word(0) + sb.Word(0)), template.Done
 	})
 	if sum != 3 {
 		t.Fatalf("validated sum = %d, want 3", sum)
@@ -225,7 +310,7 @@ func TestPoliciesCompleteUnderContention(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const procs = 4
 			const perG = 500
-			r := core.NewRecord(1, []any{0})
+			r := newWords(0)
 			var wg sync.WaitGroup
 			for g := 0; g < procs; g++ {
 				wg.Add(1)
@@ -234,11 +319,11 @@ func TestPoliciesCompleteUnderContention(t *testing.T) {
 					h := core.NewHandle()
 					for i := 0; i < perG; i++ {
 						template.Run(h, pol, nil, func(c *template.Ctx) (struct{}, template.Action) {
-							snap, s := c.LLX(r)
+							snap, s := c.LLXF(r)
 							if s != core.LLXOK {
 								return struct{}{}, template.Retry
 							}
-							if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+							if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 								return struct{}{}, template.Done
 							}
 							return struct{}{}, template.Retry
@@ -247,7 +332,7 @@ func TestPoliciesCompleteUnderContention(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if got := r.Read(0).(int); got != procs*perG {
+			if got := r.Word(0); got != uint64(procs*perG) {
 				t.Fatalf("final value = %d, want %d", got, procs*perG)
 			}
 		})
@@ -261,20 +346,20 @@ func TestCtxSnapshotsStayLiveWithinAttempt(t *testing.T) {
 	h := core.NewHandle()
 	recs := make([]*core.Record, 4)
 	for i := range recs {
-		recs[i] = core.NewRecord(2, []any{i, i * 10})
+		recs[i] = newWords(uint64(i), uint64(i*10))
 	}
 	ok := template.Run(h, nil, nil, func(c *template.Ctx) (bool, template.Action) {
-		snaps := make([]core.Snapshot, len(recs))
+		snaps := make([]*core.Fields, len(recs))
 		for i, r := range recs {
-			s, st := c.LLX(r)
+			s, st := c.LLXF(r)
 			if st != core.LLXOK {
 				return false, template.Retry
 			}
 			snaps[i] = s
 		}
 		for i, s := range snaps {
-			if s[0].(int) != i || s[1].(int) != i*10 {
-				t.Errorf("snapshot %d = %v, want [%d %d]", i, s, i, i*10)
+			if s.Word(0) != uint64(i) || s.Word(1) != uint64(i*10) {
+				t.Errorf("snapshot %d = [%d %d], want [%d %d]", i, s.Word(0), s.Word(1), i, i*10)
 			}
 		}
 		return true, template.Done
@@ -306,15 +391,15 @@ func TestCountersSnapshotArithmetic(t *testing.T) {
 // TestOpStatsReset covers Reset between experiment phases.
 func TestOpStatsReset(t *testing.T) {
 	h := core.NewHandle()
-	r := core.NewRecord(1, []any{0})
+	r := newWords(0)
 	var st template.OpStats
 	for i := 0; i < 3; i++ {
 		template.Run(h, nil, &st, func(c *template.Ctx) (struct{}, template.Action) {
-			snap, s := c.LLX(r)
+			snap, s := c.LLXF(r)
 			if s != core.LLXOK {
 				return struct{}{}, template.Retry
 			}
-			if c.SCX([]*core.Record{r}, nil, r.Field(0), snap[0].(int)+1) {
+			if c.SCXWord([]*core.Record{r}, nil, r.WordField(0), snap.Word(0)+1) {
 				return struct{}{}, template.Done
 			}
 			return struct{}{}, template.Retry

@@ -15,8 +15,14 @@
 // popular companion structure to the paper's BSTs.
 //
 // Child links are raw de-boxed pointer words; removed nodes are recycled
-// through internal/reclaim (leaves and routers share one two-pointer record
-// layout, so one pool serves both).
+// through internal/reclaim (leaves, routers and the empty sentinel share
+// one two-pointer record layout, so one pool serves all three).
+//
+// No child field is ever given a value it held before (the paper's Section
+// 4.1 rule, which keeps a stalled helper's update CAS from landing late):
+// an empty trie is a fresh empty sentinel rather than a nil root, and a
+// delete installs a fresh copy of the removed leaf's sibling, finalizing
+// the sibling, instead of swinging the grandparent back to it.
 //
 // Methods never take a *core.Process: plain calls acquire a pooled Handle
 // per operation, and hot paths bind one with Attach.
@@ -44,11 +50,12 @@ const (
 // share the two-pointer layout so the reclaim pool recycles them
 // interchangeably.
 type node[V any] struct {
-	rec  core.Record
-	leaf bool
-	bit  int    // internal: diverging bit index, 0 (MSB) .. 63
-	key  uint64 // leaf: the key
-	val  V      // leaf: the value
+	rec   core.Record
+	leaf  bool
+	empty bool   // the empty-trie sentinel: the root's child when no key is present
+	bit   int    // internal: diverging bit index, 0 (MSB) .. 63
+	key   uint64 // leaf: the key
+	val   V      // leaf: the value
 }
 
 // child reads child dir of internal node n with a plain read.
@@ -70,7 +77,7 @@ func diffBit(a, b uint64) int {
 // Trie is a non-blocking map from uint64 keys to V. The zero value is not
 // usable; create one with New. All methods are safe for concurrent use.
 type Trie[V any] struct {
-	root     *core.Record // entry point: one mutable field, the trie's root node
+	root     *core.Record // entry point: one mutable field, the trie's root node or empty sentinel
 	pool     *reclaim.Pool[node[V]]
 	policy   template.Policy
 	putStats template.OpStats
@@ -86,6 +93,9 @@ func New[V any]() *Trie[V] {
 	// Rewind records as nodes enter the freelists, releasing the
 	// descriptors their info fields would otherwise park (see reclaim).
 	t.pool.SetOnFree(func(n *node[V]) { n.rec.Recycle() })
+	empty := t.alloc(nil)
+	setEmpty(empty)
+	t.root.SetPtr(fieldChild0, unsafe.Pointer(empty))
 	return t
 }
 
@@ -101,20 +111,38 @@ func (t *Trie[V]) alloc(l *reclaim.Local) *node[V] {
 	return n
 }
 
-// setInternal and setLeaf are the single places node state is set, shared
-// by the constructors and the retry paths that re-arm a node built by an
-// earlier attempt.
+// setInternal, setLeaf and setEmpty are the single places node state is
+// set, shared by the constructors and the retry paths that re-arm a node
+// built by an earlier attempt.
 func setInternal[V any](n *node[V], bit int, child0, child1 *node[V]) {
 	var zeroV V
-	n.leaf, n.bit, n.key, n.val = false, bit, 0, zeroV
+	n.leaf, n.empty, n.bit, n.key, n.val = false, false, bit, 0, zeroV
 	n.rec.SetPtr(fieldChild0, unsafe.Pointer(child0))
 	n.rec.SetPtr(fieldChild1, unsafe.Pointer(child1))
 }
 
 func setLeaf[V any](n *node[V], key uint64, val V) {
-	n.leaf, n.bit, n.key, n.val = true, 0, key, val
+	n.leaf, n.empty, n.bit, n.key, n.val = true, false, 0, key, val
 	n.rec.SetPtr(fieldChild0, nil)
 	n.rec.SetPtr(fieldChild1, nil)
+}
+
+func setEmpty[V any](n *node[V]) {
+	var zeroV V
+	n.leaf, n.empty, n.bit, n.key, n.val = false, true, 0, 0, zeroV
+	n.rec.SetPtr(fieldChild0, nil)
+	n.rec.SetPtr(fieldChild1, nil)
+}
+
+// copyOf re-arms n as a copy of src, whose child pointers are taken from
+// srcSnap, src's linked LLX snapshot.
+func copyOf[V any](n, src *node[V], srcSnap *core.Fields) {
+	if src.leaf {
+		setLeaf(n, src.key, src.val)
+		return
+	}
+	setInternal(n, src.bit,
+		(*node[V])(srcSnap.Ptr(fieldChild0)), (*node[V])(srcSnap.Ptr(fieldChild1)))
 }
 
 func (t *Trie[V]) newInternal(l *reclaim.Local, bit int, child0, child1 *node[V]) *node[V] {
@@ -163,7 +191,7 @@ func (t *Trie[V]) Attach(h *core.Handle) Session[V] {
 // Handle returns the Session's Handle.
 func (s Session[V]) Handle() *core.Handle { return s.h }
 
-// top reads the trie's root node (nil when empty).
+// top reads the trie's root node (the empty sentinel when empty).
 func (t *Trie[V]) top() *node[V] {
 	return (*node[V])(t.root.Ptr(fieldChild0))
 }
@@ -207,11 +235,7 @@ func (s Session[V]) Get(key uint64) (V, bool) {
 	defer template.Exit(s.h)
 	t := s.t
 	var zero V
-	n := t.top()
-	for n != nil && !n.leaf {
-		n = n.child(bitOf(key, n.bit))
-	}
-	if n != nil && n.key == key {
+	if n := walkToLeaf(t.top(), key); n != nil && n.key == key {
 		return n.val, true
 	}
 	return zero, false
@@ -223,10 +247,14 @@ func (s Session[V]) Contains(key uint64) bool {
 	return ok
 }
 
-// walkToLeaf follows key's bits from n to a leaf.
+// walkToLeaf follows key's bits from n to a leaf; nil if n is the empty
+// sentinel.
 func walkToLeaf[V any](n *node[V], key uint64) *node[V] {
-	for n != nil && !n.leaf {
+	for !n.leaf && !n.empty {
 		n = n.child(bitOf(key, n.bit))
+	}
+	if n.empty {
+		return nil
 	}
 	return n
 }
@@ -245,20 +273,26 @@ func (s Session[V]) Put(key uint64, val V) bool {
 	return template.Run(s.h, t.policy, &t.putStats, func(c *template.Ctx) (bool, template.Action) {
 		// Phase 1: probe for a leaf sharing key's routed prefix.
 		top := t.top()
-		if top == nil {
-			// Empty trie: install the first leaf at the entry point.
+		if top.empty {
+			// Empty trie: replace the sentinel with the first leaf,
+			// finalizing the sentinel.
 			localr, st := c.LLXF(t.root)
 			if st != core.LLXOK {
 				return false, template.Retry
 			}
-			if localr.Ptr(fieldChild0) != nil {
+			if (*node[V])(localr.Ptr(fieldChild0)) != top {
 				return false, template.Retry // no longer empty; re-run
 			}
-			if c.SCXPtr([]*core.Record{t.root}, nil, t.root.PtrField(fieldChild0),
-				unsafe.Pointer(leaf(c))) {
+			if _, st := c.LLXF(&top.rec); st != core.LLXOK {
+				return false, template.Retry
+			}
+			// New value: a fresh leaf.
+			if c.SCXPtr([]*core.Record{t.root, &top.rec}, []*core.Record{&top.rec},
+				t.root.PtrField(fieldChild0), unsafe.Pointer(leaf(c))) {
 				if inner != nil {
 					t.pool.Release(c.Reclaim(), inner)
 				}
+				t.pool.Retire(c.Reclaim(), top)
 				return true, template.Done
 			}
 			return false, template.Retry
@@ -308,6 +342,7 @@ func (s Session[V]) Put(key uint64, val V) bool {
 		} else {
 			setInternal(inner, b, cur, n)
 		}
+		// New value: a fresh router.
 		if c.SCXPtr([]*core.Record{parentRec}, nil,
 			parentRec.PtrField(parentDir), unsafe.Pointer(inner)) {
 			return true, template.Done
@@ -318,15 +353,19 @@ func (s Session[V]) Put(key uint64, val V) bool {
 
 // descendTo walks toward key and returns the edge (parent record, field
 // index) whose current child cur is the first node that is a leaf or routes
-// at a bit index >= b — the splice point for a new router at bit b.
+// at a bit index >= b — the splice point for a new router at bit b. cur is
+// nil if the trie has been emptied meanwhile.
 func (t *Trie[V]) descendTo(key uint64, b int) (*core.Record, int, *node[V]) {
 	parentRec := t.root
 	parentDir := fieldChild0
 	cur := t.top()
-	for cur != nil && !cur.leaf && cur.bit < b {
+	for !cur.leaf && !cur.empty && cur.bit < b {
 		parentRec = &cur.rec
 		parentDir = bitOf(key, cur.bit)
 		cur = cur.child(parentDir)
+	}
+	if cur.empty {
+		return parentRec, parentDir, nil
 	}
 	return parentRec, parentDir, cur
 }
@@ -337,12 +376,12 @@ func (t *Trie[V]) replaceLeaf(c *template.Ctx, key uint64, repl *node[V]) bool {
 	parentRec := t.root
 	parentDir := fieldChild0
 	cur := t.top()
-	for cur != nil && !cur.leaf {
+	for !cur.leaf && !cur.empty {
 		parentRec = &cur.rec
 		parentDir = bitOf(key, cur.bit)
 		cur = cur.child(parentDir)
 	}
-	if cur == nil || cur.key != key {
+	if cur.empty || cur.key != key {
 		return false
 	}
 	localp, st := c.LLXF(parentRec)
@@ -355,6 +394,7 @@ func (t *Trie[V]) replaceLeaf(c *template.Ctx, key uint64, repl *node[V]) bool {
 	if _, st := c.LLXF(&cur.rec); st != core.LLXOK {
 		return false
 	}
+	// New value: a fresh leaf.
 	if c.SCXPtr([]*core.Record{parentRec, &cur.rec}, []*core.Record{&cur.rec},
 		parentRec.PtrField(parentDir), unsafe.Pointer(repl)) {
 		t.pool.Retire(c.Reclaim(), cur)
@@ -373,13 +413,14 @@ type delResult[V any] struct {
 // the zero value and false if key was absent.
 func (s Session[V]) Delete(key uint64) (V, bool) {
 	t := s.t
+	var fresh *node[V] // the sibling's copy or the new empty sentinel, built at most once
 	res := template.Run(s.h, t.policy, &t.delStats, func(c *template.Ctx) (delResult[V], template.Action) {
 		// Track grandparent edge, parent node, and leaf during the descent.
 		gRec := t.root
 		gDir := fieldChild0
 		var p *node[V]
 		l := t.top()
-		for l != nil && !l.leaf {
+		for !l.leaf && !l.empty {
 			if p != nil {
 				gRec = &p.rec
 				gDir = bitOf(key, p.bit)
@@ -387,11 +428,18 @@ func (s Session[V]) Delete(key uint64) (V, bool) {
 			p = l
 			l = l.child(bitOf(key, p.bit))
 		}
-		if l == nil || l.key != key {
+		if l.empty || l.key != key {
+			if fresh != nil {
+				t.pool.Release(c.Reclaim(), fresh) // never published
+			}
 			return delResult[V]{}, template.Done
 		}
+		if fresh == nil {
+			fresh = t.alloc(c.Reclaim())
+		}
 		if p == nil {
-			// The leaf is the entire trie: unlink it from the entry point.
+			// The leaf is the entire trie: replace it with a fresh empty
+			// sentinel, finalizing it.
 			localr, st := c.LLXF(t.root)
 			if st != core.LLXOK {
 				return delResult[V]{}, template.Retry
@@ -402,15 +450,18 @@ func (s Session[V]) Delete(key uint64) (V, bool) {
 			if _, st := c.LLXF(&l.rec); st != core.LLXOK {
 				return delResult[V]{}, template.Retry
 			}
+			setEmpty(fresh)
+			// New value: a fresh empty sentinel, never nil or an old one.
 			if c.SCXPtr([]*core.Record{t.root, &l.rec}, []*core.Record{&l.rec},
-				t.root.PtrField(fieldChild0), nil) {
+				t.root.PtrField(fieldChild0), unsafe.Pointer(fresh)) {
 				val := l.val
 				t.pool.Retire(c.Reclaim(), l)
 				return delResult[V]{val: val, ok: true}, template.Done
 			}
 			return delResult[V]{}, template.Retry
 		}
-		// Replace p with l's sibling, finalizing p and l.
+		// Replace p with a copy of l's sibling, finalizing p, l and the
+		// sibling.
 		localg, st := c.LLXF(gRec)
 		if st != core.LLXOK {
 			return delResult[V]{}, template.Retry
@@ -433,9 +484,11 @@ func (s Session[V]) Delete(key uint64) (V, bool) {
 		if _, st := c.LLXF(&l.rec); st != core.LLXOK {
 			return delResult[V]{}, template.Retry
 		}
-		if _, st := c.LLXF(&sib.rec); st != core.LLXOK {
+		locals, st := c.LLXF(&sib.rec)
+		if st != core.LLXOK {
 			return delResult[V]{}, template.Retry
 		}
+		copyOf(fresh, sib, locals)
 		// V in preorder-consistent order: grandparent edge owner, p, then
 		// p's children in child order.
 		var v []*core.Record
@@ -444,11 +497,14 @@ func (s Session[V]) Delete(key uint64) (V, bool) {
 		} else {
 			v = []*core.Record{gRec, &p.rec, &sib.rec, &l.rec}
 		}
-		if c.SCXPtr(v, []*core.Record{&p.rec, &l.rec}, gRec.PtrField(gDir),
-			unsafe.Pointer(sib)) {
+		// New value: a fresh copy of the sibling. The sibling itself may be
+		// what the grandparent's field held before p was spliced in.
+		if c.SCXPtr(v, []*core.Record{&p.rec, &l.rec, &sib.rec}, gRec.PtrField(gDir),
+			unsafe.Pointer(fresh)) {
 			val := l.val
 			t.pool.Retire(c.Reclaim(), p)
 			t.pool.Retire(c.Reclaim(), l)
+			t.pool.Retire(c.Reclaim(), sib)
 			return delResult[V]{val: val, ok: true}, template.Done
 		}
 		return delResult[V]{}, template.Retry
@@ -480,7 +536,7 @@ func (t *Trie[V]) Items() map[uint64]V {
 }
 
 func (t *Trie[V]) walk(n *node[V], visit func(l *node[V])) {
-	if n == nil {
+	if n == nil || n.empty {
 		return
 	}
 	if n.leaf {
@@ -509,14 +565,17 @@ func (t *Trie[V]) CheckInvariants() error {
 // decisions taken so far.
 func (t *Trie[V]) check(n *node[V], parentBit int, prefix, mask uint64) error {
 	if n == nil {
-		if parentBit == -1 {
-			return nil // empty trie
-		}
 		return fmt.Errorf("internal node missing a child")
+	}
+	if n.empty && parentBit != -1 {
+		return fmt.Errorf("empty sentinel below the root")
 	}
 	if n.rec.Finalized() {
 		return fmt.Errorf("reachable node finalized (leaf=%v bit=%d key=%d)",
 			n.leaf, n.bit, n.key)
+	}
+	if n.empty {
+		return nil // empty trie
 	}
 	if n.leaf {
 		if n.key&mask != prefix {
