@@ -17,8 +17,9 @@
 //	       [-wal-dir DIR] [-fsync-interval 0] [-segment-bytes 16MiB]
 //	       [-snapshot-every 0]
 //
-// -metrics serves the observability plane over HTTP: /metrics is the
-// plain-text dump (the same text the STATS command returns in-band),
+// -metrics serves the observability plane over HTTP. Both metrics views
+// render the server's one metrics store, its obs registry: /metrics prints
+// one line per sample (the same text the STATS command returns in-band),
 // /metrics?format=prom is the Prometheus text exposition, and /trace is
 // the slow-op trace ring (flush intervals slower than -slowop, also
 // readable in-band via the TRACE command). -pprof serves the standard
@@ -71,7 +72,7 @@ func run() int {
 		policy    = flag.String("policy", "", "retry policy: immediate, backoff[:BASE:MAX] or spinyield[:SPINS] (default: the structure's own)")
 		maxConns  = flag.Int("maxconns", server.DefaultMaxConns, "refuse connections beyond this many (<0 for unlimited)")
 		idle      = flag.Duration("idletimeout", 0, "close connections idle for this long (0 disables)")
-		metrics   = flag.String("metrics", "", "serve /metrics (text; ?format=prom for Prometheus exposition) and /trace over HTTP at this address (empty disables)")
+		metrics   = flag.String("metrics", "", "serve /metrics (one line per registry sample, as STATS; ?format=prom for the Prometheus exposition) and /trace over HTTP at this address (empty disables)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof profiles over HTTP at this address under /debug/pprof/ (empty disables)")
 		slowOp    = flag.Duration("slowop", 0, "flush intervals at least this slow enter the TRACE ring (0: the 10ms default; <0 disables)")
 		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are force-closed")
@@ -232,9 +233,9 @@ func run() int {
 		fmt.Printf("server: wal at LSN %d (%d appends, %d fsyncs, %d segments)\n",
 			lm.LastLSN, lm.Appends, lm.Fsyncs, lm.Segments)
 	}
-	m := srv.Metrics()
+	reg := srv.Registry()
 	fmt.Printf("server: drained: %d ops served over %d connections, final size %d\n",
-		m.ServedTotal, m.AcceptedConns, srv.Size())
+		reg.Sum("kv_server_ops_total"), reg.Sum("kv_server_conns_accepted_total"), srv.Size())
 	if shutdownErr != nil {
 		fmt.Fprintf(os.Stderr, "server: shutdown forced after %v: %v\n", *drainWait, shutdownErr)
 		return 1

@@ -44,12 +44,14 @@
 // audited end to end by cmd/stress -crash and scripts/crash_smoke.sh.
 // Threaded through all of it is the observability plane (internal/obs): an
 // allocation-free metrics registry of padded counters, pull gauges and
-// striped atomic histograms that every layer registers into — server per-op
-// latency, WAL fsync/commit/group-size, epoch-reclaim gauges — plus a
-// lock-free slow-op trace ring, exposed as text (STATS), Prometheus
-// exposition (/metrics?format=prom, round-tripped by the in-repo parser),
-// the TRACE command and /trace, and opt-in net/http/pprof (cmd/server
-// -pprof).
+// striped atomic histograms that is the server's one metrics store — server
+// op counts, batch sizes and per-op latency, WAL fsync/commit/group-size,
+// engine and per-shard contention, epoch-reclaim gauges all live in it —
+// plus a lock-free slow-op trace ring. The registry renders generically as
+// one line per sample (STATS and /metrics) and as Prometheus exposition
+// (/metrics?format=prom, round-tripped by the in-repo parser); the trace
+// ring is served by the TRACE command and /trace, and cmd/server -pprof
+// adds opt-in net/http/pprof.
 //
 // The implementation lives under internal/:
 //

@@ -6,7 +6,7 @@
 // The example starts a server over a 4-shard multiset on a random loopback
 // port, walks the synchronous client API, fires one pipelined batch (one
 // flush out, one flush back — the same reply-batching the server applies),
-// prints the engine counters from the STATS command, and shuts down
+// prints the op and engine counters from the STATS command, and shuts down
 // gracefully: the final Size the server reports equals acknowledged
 // inserts minus acknowledged deletes, the conservation invariant carried
 // across the wire.
@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -69,14 +70,23 @@ func main() {
 	check(err)
 	fmt.Printf("pipelined batch: %d acked inserts, SIZE -> %d\n", acked, size)
 
-	// The STATS command returns the server's full text metrics dump; show
-	// the engine line (attempts/retries of every LLX/SCX update the batch
-	// ran).
+	// The STATS command returns the server's metrics registry as text, one
+	// line per sample; show the ops served and the engine counters of every
+	// LLX/SCX update the batch ran (attempts = ops + retries).
 	stats, err := cl.Stats()
 	check(err)
+	shown := make(map[string]bool)
 	for _, line := range strings.Split(stats, "\n") {
-		if strings.HasPrefix(line, "engine: ") || strings.HasPrefix(line, "server: ops") {
+		family, _, _ := strings.Cut(line, " ")
+		family, _, _ = strings.Cut(family, "{")
+		if slices.Contains(statsFamilies, family) {
 			fmt.Println(line)
+			shown[family] = true
+		}
+	}
+	for _, family := range statsFamilies {
+		if !shown[family] {
+			panic("STATS has no " + family + " sample:\n" + stats)
 		}
 	}
 
@@ -85,6 +95,12 @@ func main() {
 	defer cancel()
 	check(srv.Shutdown(ctx))
 	fmt.Printf("drained; final size %d (= acked inserts %d - acked deletes 1)\n", srv.Size(), acked+1)
+}
+
+// statsFamilies are the registry families the example prints from STATS.
+var statsFamilies = []string{
+	"kv_server_ops_total", "kv_engine_ops_total", "kv_engine_retries_total",
+	"kv_engine_llx_fails_total", "kv_engine_scx_fails_total",
 }
 
 func check(err error) {

@@ -8,8 +8,9 @@
 //
 //   - Counter: a padded atomic the owner adds to. CounterFunc and GaugeFunc
 //     are the pull-based variants — a closure sampled at scrape time, so
-//     layers that already keep their own counters (server fold counters,
-//     wal.Metrics, reclaim.Domain) expose them with zero new hot-path cost.
+//     layers that already keep their own state (wal.Metrics, the template
+//     engine's counters, reclaim.Domain) expose it with zero new hot-path
+//     cost.
 //   - Histogram: striped atomic bucket arrays sharing stats.Histogram's
 //     log-linear geometry. Recording is a few atomic adds on the caller's
 //     own stripe (0 allocs, no locks, no false sharing between stripes);
@@ -22,6 +23,11 @@
 // (atomic loads), which is exactly as consistent as a statistical snapshot
 // needs to be.
 //
+// The registry is the only store: its two views, WriteProm (the Prometheus
+// exposition) and WriteText (one line per sample, for STATS and the plain
+// /metrics), render every instrument generically, and Sum reads one
+// family's total for callers that want a number rather than a dump.
+//
 // Registration (NewRegistry, Counter, Histogram, ...) takes a mutex and
 // allocates; it happens at server start. The record path never does either.
 package obs
@@ -29,7 +35,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,6 +241,15 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
+// Sum returns the total of the recorded values across stripes.
+func (h *Histogram) Sum() int64 {
+	var sum int64
+	for s := range h.stripes {
+		sum += h.stripes[s].sum.Load()
+	}
+	return sum
+}
+
 // renderLabels pre-renders the inner label string (`k="v",k2="v2"`).
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
@@ -278,26 +293,35 @@ func sampleName(name, labels, extra string) string {
 	}
 }
 
+// snapshot copies the family list under the lock, so rendering — which
+// samples caller-supplied pull functions — runs without holding it.
+func (r *Registry) snapshot() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*family(nil), r.families...)
+}
+
+// value samples a counter or gauge instrument.
+func (it *instrument) value() int64 {
+	if it.counter != nil {
+		return it.counter.Load()
+	}
+	return it.fn()
+}
+
 // WriteProm renders the registry in the Prometheus text exposition format:
 // one TYPE line per family, counters and gauges as single samples,
 // histograms as cumulative le-labeled buckets (only non-empty buckets are
 // emitted — the cumulative values are unaffected) plus _sum and _count.
 func (r *Registry) WriteProm(w io.Writer) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-
 	var scratch stats.Histogram
-	for _, f := range fams {
+	for _, f := range r.snapshot() {
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
 		for _, it := range f.items {
 			switch {
-			case it.counter != nil:
-				fmt.Fprintf(w, "%s %d\n", sampleName(f.name, it.labels, ""), it.counter.Load())
-			case it.fn != nil:
-				fmt.Fprintf(w, "%s %d\n", sampleName(f.name, it.labels, ""), it.fn())
-			case it.hist != nil:
+			case it.hist == nil:
+				fmt.Fprintf(w, "%s %d\n", sampleName(f.name, it.labels, ""), it.value())
+			default:
 				sum := it.hist.Fold(&scratch)
 				var cum int64
 				for b := 0; b < stats.Buckets; b++ {
@@ -317,50 +341,50 @@ func (r *Registry) WriteProm(w io.Writer) {
 	}
 }
 
-// WriteHistText renders a human-readable one-line summary per registered
-// histogram (count, p50/p90/p99, max). Names ending in _ns are printed as
-// durations. This is the histogram section of the server's text dump; the
-// counters and gauges already appear there in its own format.
-func (r *Registry) WriteHistText(w io.Writer) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-
+// WriteText renders the registry for people, one line per sample in
+// registration order: a counter or gauge prints as its Prometheus sample
+// line (`name{labels} value`), a non-empty histogram as
+// `name{labels} count=N p50=… p90=… p99=… max=…`, with durations for
+// families ending in _ns. Empty histograms are skipped. Ratios are not
+// printed; DESIGN.md says how to derive them from the counters.
+func (r *Registry) WriteText(w io.Writer) {
 	var scratch stats.Histogram
-	for _, f := range fams {
-		if f.kind != kindHistogram {
-			continue
-		}
+	for _, f := range r.snapshot() {
 		ns := strings.HasSuffix(f.name, "_ns")
+		val := func(v int64) string {
+			if ns {
+				return time.Duration(v).Round(time.Microsecond / 10).String()
+			}
+			return strconv.FormatInt(v, 10)
+		}
 		for _, it := range f.items {
-			it.hist.Fold(&scratch)
-			if scratch.Count() == 0 {
+			name := sampleName(f.name, it.labels, "")
+			if it.hist == nil {
+				fmt.Fprintf(w, "%s %d\n", name, it.value())
 				continue
 			}
-			val := func(v int64) string {
-				if ns {
-					return time.Duration(v).Round(time.Microsecond / 10).String()
-				}
-				return fmt.Sprintf("%d", v)
+			if it.hist.Fold(&scratch); scratch.Count() == 0 {
+				continue
 			}
-			fmt.Fprintf(w, "obs: %s count=%d p50=%s p90=%s p99=%s max=%s\n",
-				sampleName(f.name, it.labels, ""), scratch.Count(),
-				val(scratch.Quantile(50)), val(scratch.Quantile(90)),
+			fmt.Fprintf(w, "%s count=%d p50=%s p90=%s p99=%s max=%s\n",
+				name, scratch.Count(), val(scratch.Quantile(50)), val(scratch.Quantile(90)),
 				val(scratch.Quantile(99)), val(scratch.Quantile(100)))
 		}
 	}
 }
 
-// Families returns the registered family names, sorted — a cheap existence
-// probe for tests and tooling.
-func (r *Registry) Families() []string {
+// Sum returns a counter or gauge family's value summed over its label
+// sets: 0 when no such family is registered, or when it is a histogram.
+func (r *Registry) Sum(name string) (total int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
+	f := r.byName[name]
+	var items []instrument
+	if f != nil && f.kind != kindHistogram {
+		items = f.items
 	}
-	sort.Strings(names)
-	return names
+	r.mu.Unlock()
+	for i := range items {
+		total += items[i].value()
+	}
+	return total
 }

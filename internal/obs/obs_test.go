@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -253,20 +254,107 @@ func TestTraceRingOverwrite(t *testing.T) {
 	}
 }
 
-// TestRegistryTextView checks the human-readable histogram summary line.
+// TestRegistryTextView checks the text view's histogram summary line: a
+// populated histogram is shown, an empty one is not.
 func TestRegistryTextView(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("txt_latency_ns", 1, Label{"op", "GET"})
 	h.Recorder(0).RecordN(1500, 10)
-	empty := r.Histogram("txt_empty_ns", 1)
-	_ = empty
+	r.Histogram("txt_empty_ns", 1)
 	var buf bytes.Buffer
-	r.WriteHistText(&buf)
+	r.WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, `txt_latency_ns{op="GET"}`) || !strings.Contains(out, "count=10") {
 		t.Errorf("text view missing populated histogram:\n%s", out)
 	}
 	if strings.Contains(out, "txt_empty_ns") {
 		t.Errorf("text view includes empty histogram:\n%s", out)
+	}
+}
+
+// TestWriteTextMatchesProm pins that the two views render one store: every
+// counter and gauge sample of the Prometheus exposition appears in the text
+// view with the same value, and every non-empty histogram's text count
+// equals its _count sample.
+func TestWriteTextMatchesProm(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("m_ops_total", Label{"op", "GET"}).Add(5)
+	r.Counter("m_ops_total", Label{"op", "SET"}).Add(7)
+	r.Counter("m_flushes_total").Inc()
+	r.CounterFunc("m_pull_total", func() int64 { return 11 })
+	r.GaugeFunc("m_depth", func() int64 { return -2 }, Label{"shard", "0"})
+	r.GaugeFunc("m_depth", func() int64 { return 3 }, Label{"shard", "1"})
+	h := r.Histogram("m_batch_ops", 2)
+	for i := int64(1); i <= 100; i++ {
+		h.Recorder(int(i)).Record(i)
+	}
+	r.Histogram("m_latency_ns", 1, Label{"op", "GET"}).Recorder(0).RecordN(2500, 4)
+	r.Histogram("m_empty_ns", 1)
+
+	var prom, text bytes.Buffer
+	r.WriteProm(&prom)
+	r.WriteText(&text)
+	fams, err := ParseProm(&prom)
+	if err != nil {
+		t.Fatalf("parse prom: %v", err)
+	}
+	// Index the text view by sample: counter and gauge lines parse as
+	// Prometheus samples; a histogram line's count= field stands in for
+	// its value.
+	type key struct{ name, labels string }
+	keyOf := func(s Sample) key {
+		ls := make([]string, 0, len(s.Labels))
+		for k, v := range s.Labels {
+			ls = append(ls, k+"="+v)
+		}
+		sort.Strings(ls)
+		return key{s.Name, strings.Join(ls, ",")}
+	}
+	textVals := make(map[key]float64)
+	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
+		if i := strings.Index(line, " count="); i >= 0 {
+			line = line[:i] + " " + strings.Fields(line[i+len(" count="):])[0]
+		}
+		s, err := parseSample(line)
+		if err != nil {
+			t.Fatalf("text line %q: %v", line, err)
+		}
+		textVals[keyOf(s)] = s.Value
+	}
+	checked := 0
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			k := keyOf(s)
+			if f.Type == "histogram" {
+				if s.Name != f.Name+"_count" || s.Value == 0 {
+					continue
+				}
+				k.name = f.Name
+			}
+			if v, ok := textVals[k]; !ok || v != s.Value {
+				t.Errorf("%s{%s}: prom %v, text %v (present=%v)", s.Name, k.labels, s.Value, v, ok)
+			}
+			checked++
+		}
+	}
+	if want := 8; checked != want || len(textVals) != want {
+		t.Errorf("checked %d prom samples against %d text lines, want %d of each:\n%s",
+			checked, len(textVals), want, text.String())
+	}
+}
+
+// TestRegistrySum pins Sum: a counter or gauge family summed over its label
+// sets, and 0 for an unknown family or a histogram.
+func TestRegistrySum(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("s_ops_total", Label{"op", "GET"}).Add(5)
+	r.Counter("s_ops_total", Label{"op", "SET"}).Add(7)
+	r.GaugeFunc("s_size", func() int64 { return 4 }, Label{"shard", "0"})
+	r.GaugeFunc("s_size", func() int64 { return -1 }, Label{"shard", "1"})
+	r.Histogram("s_lat_ns", 1).Recorder(0).Record(9)
+	for name, want := range map[string]int64{"s_ops_total": 12, "s_size": 3, "s_lat_ns": 0, "s_missing": 0} {
+		if got := r.Sum(name); got != want {
+			t.Errorf("Sum(%q) = %d, want %d", name, got, want)
+		}
 	}
 }

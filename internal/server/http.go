@@ -7,8 +7,10 @@ import (
 
 // Handler returns the server's observability endpoints as an http.Handler:
 //
-//	/metrics             the human text dump (same bytes as the STATS command)
-//	/metrics?format=prom Prometheus text exposition (parseable by obs.ParseProm)
+//	/metrics             the registry's text view, obs.Registry.WriteText (same
+//	                     bytes as the STATS command)
+//	/metrics?format=prom the registry's Prometheus exposition, WriteProm
+//	                     (parseable by obs.ParseProm)
 //	/trace               the slow-op trace ring (same bytes as TRACE)
 //
 // The handler only reads — scrapes fold striped recorders and load atomics,
@@ -23,7 +25,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.WriteMetrics(w)
+		s.reg.WriteText(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -4,7 +4,7 @@ package server_test
 // real socket, then check that every layer's instruments actually moved —
 // op latency histograms, WAL fsync/commit histograms, reclaim gauges — via
 // the Prometheus exposition endpoint (round-tripped through obs.ParseProm),
-// the STATS text dump, and the slow-op TRACE command.
+// the STATS text view, and the slow-op TRACE command.
 
 import (
 	"io"
@@ -106,13 +106,13 @@ func TestServerObsPlane(t *testing.T) {
 		t.Errorf("kv_server_ops_total{op=SET} = %v (ok=%v), want %d", v, ok, wantOps)
 	}
 
-	// The text dump carries the same plane: the reclaim gauge line and the
-	// folded histogram summaries.
+	// The STATS text view carries the same plane: the reclaim gauge line and
+	// the folded histogram summaries.
 	stats, err := cl.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	for _, want := range []string{"reclaim: epoch=", "kv_op_latency_ns{op=\"SET\"}", "kv_wal_fsync_ns"} {
+	for _, want := range []string{"kv_reclaim_epoch ", "kv_op_latency_ns{op=\"SET\"}", "kv_wal_fsync_ns"} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS dump missing %q:\n%s", want, stats)
 		}
@@ -138,8 +138,8 @@ func TestServerObsPlane(t *testing.T) {
 	if body := httpGet(t, srv.URL+"/trace"); !strings.Contains(body, "trace: slow_ops=") {
 		t.Errorf("/trace missing header:\n%s", body)
 	}
-	// And the plain /metrics endpoint matches the STATS dump's shape.
-	if body := httpGet(t, srv.URL+"/metrics"); !strings.Contains(body, "server: conns active=") {
+	// And the plain /metrics endpoint serves the same text view as STATS.
+	if body := httpGet(t, srv.URL+"/metrics"); !strings.Contains(body, "kv_server_conns_active ") {
 		t.Errorf("/metrics missing server line:\n%s", body)
 	}
 }

@@ -18,7 +18,13 @@
 // hits the socket only when the read buffer runs dry (one flush per
 // pipelined batch). Syscalls, epoch transitions, WAL mutex rounds, shared
 // counter updates and fsyncs are all amortized over the batch; the
-// /metrics batch-size distribution makes the amortization observable.
+// kv_server_batch_ops histogram makes the amortization observable.
+//
+// Every count the server keeps lives in one place, its obs.Registry: the
+// server's own counters and histograms are registry instruments, and the
+// other layers' state (WAL, engine, reclaim, container size) is sampled by
+// pull functions at scrape time. STATS and the plain /metrics endpoint
+// render the registry with WriteText, /metrics?format=prom with WriteProm.
 //
 // Backpressure is structural rather than queued: there is no request queue
 // to grow without bound. A connection's requests are processed strictly in
@@ -41,9 +47,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,7 +60,7 @@ import (
 	"pragmaprim/internal/proto"
 	"pragmaprim/internal/reclaim"
 	"pragmaprim/internal/shard"
-	"pragmaprim/internal/stats"
+	"pragmaprim/internal/template"
 	"pragmaprim/internal/wal"
 )
 
@@ -78,9 +84,10 @@ type Config struct {
 	// Durable, when non-nil, turns on the write-ahead logging path: acked ⇔
 	// durable instead of acked ⇔ applied. See Durability.
 	Durable *Durability
-	// Obs is the metrics registry the server registers its instruments into
-	// (op latency histograms, WAL histograms, reclaim gauges, counters);
-	// nil means a fresh private registry. The observability plane is always
+	// Obs is the registry that holds every count the server reports: its
+	// own counters and latency/batch-size histograms, the WAL histograms,
+	// and pull gauges over the WAL, engine, reclaim and container state. nil
+	// means a fresh private registry. The observability plane is always
 	// on — its record path is allocation-free and costs a handful of atomic
 	// adds per flush, so there is no off switch. One registry serves one
 	// server (registering two servers into one duplicates the sample names).
@@ -116,18 +123,6 @@ const latStripes = 8
 // reusable request slice however large the read buffer is configured.
 const maxBatch = 8192
 
-// batchHistBuckets covers batch sizes up to 2^15, comfortably past maxBatch.
-const batchHistBuckets = 16
-
-// padCounter is an atomic counter padded out to its own 64-byte cache line.
-// The hot server counters are written by every serving goroutine; without
-// padding they would share lines and turn per-batch folds into cross-core
-// coherence traffic (false sharing).
-type padCounter struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // flushTimeout bounds the final acknowledgement flush of a closing
 // connection, so a dead peer cannot hold shutdown hostage.
 const flushTimeout = 5 * time.Second
@@ -145,21 +140,16 @@ type Server struct {
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
 
-	active   atomic.Int64
-	accepted atomic.Int64
-	rejected atomic.Int64
-	// Hot shared counters, each alone on its cache line (padCounter).
-	// Connections count ops locally and fold into these once per batch, so
-	// at multi-core connection counts the counters cost one atomic add per
-	// batch per opcode touched — not one per op — and never false-share.
-	served   [proto.OpTrace + 1]padCounter
-	flushes  padCounter
-	batches  padCounter
-	batchOps padCounter
-	// batchHist[i] counts batches whose size lies in (2^(i-1), 2^i]; the
-	// /metrics batch-size distribution comes from it. One add per batch.
-	batchHist [batchHistBuckets]atomic.Int64
-	protoErrs atomic.Int64
+	active atomic.Int64
+	// The server's own counts, registry instruments each alone on its cache
+	// line. Connections count ops locally and fold into served once per
+	// flush, so at multi-core connection counts the counters cost one atomic
+	// add per batch per opcode touched — not one per op — and never
+	// false-share. batchOps records each batch's size on the connection's
+	// stripe; the batch and batched-op totals are its count and sum.
+	accepted, rejected, flushes, protoErrs *obs.Counter
+	served                                 [proto.OpTrace + 1]*obs.Counter
+	batchOps                               *obs.Histogram
 
 	// The observability plane: the registry every instrument lives in, the
 	// per-op latency histograms (GET/SET/DEL; batch-grained — see
@@ -232,24 +222,21 @@ func (s *Server) initObs() {
 		s.opLat[op] = reg.Histogram("kv_op_latency_ns", latStripes, obs.Label{Key: "op", Value: op.String()})
 	}
 	reg.GaugeFunc("kv_server_conns_active", s.active.Load)
-	reg.CounterFunc("kv_server_conns_accepted_total", s.accepted.Load)
-	reg.CounterFunc("kv_server_conns_rejected_total", s.rejected.Load)
+	s.accepted = reg.Counter("kv_server_conns_accepted_total")
+	s.rejected = reg.Counter("kv_server_conns_rejected_total")
 	for op := proto.OpPing; op <= proto.OpTrace; op++ {
-		op := op
-		reg.CounterFunc("kv_server_ops_total",
-			func() int64 { return s.served[op].n.Load() },
-			obs.Label{Key: "op", Value: op.String()})
+		s.served[op] = reg.Counter("kv_server_ops_total", obs.Label{Key: "op", Value: op.String()})
 	}
-	reg.CounterFunc("kv_server_flushes_total", s.flushes.n.Load)
-	reg.CounterFunc("kv_server_batches_total", s.batches.n.Load)
-	reg.CounterFunc("kv_server_batched_ops_total", s.batchOps.n.Load)
-	reg.CounterFunc("kv_server_proto_errors_total", s.protoErrs.Load)
+	s.flushes = reg.Counter("kv_server_flushes_total")
+	s.batchOps = reg.Histogram("kv_server_batch_ops", latStripes)
+	reg.CounterFunc("kv_server_batches_total", s.batchOps.Count)
+	reg.CounterFunc("kv_server_batched_ops_total", s.batchOps.Sum)
+	s.protoErrs = reg.Counter("kv_server_proto_errors_total")
 	reg.CounterFunc("kv_server_slow_ops_total", func() int64 { return int64(s.trace.Count()) })
 	reg.GaugeFunc("kv_container_size", func() int64 { return int64(s.cont.Size()) })
-	reg.CounterFunc("kv_engine_ops_total", func() int64 { return s.cont.EngineStats().Ops })
-	reg.CounterFunc("kv_engine_retries_total", func() int64 { return s.cont.EngineStats().Retries() })
-	reg.CounterFunc("kv_engine_llx_fails_total", func() int64 { return s.cont.EngineStats().LLXFails })
-	reg.CounterFunc("kv_engine_scx_fails_total", func() int64 { return s.cont.EngineStats().SCXFails })
+	for _, c := range contention {
+		reg.CounterFunc("kv_engine_"+c.name+"_total", func() int64 { return c.get(s.cont.EngineStats()) })
+	}
 
 	// Epoch-reclamation gauges: every session in the process announces in
 	// the Default domain, so the progress story — epoch moving, no stale
@@ -261,6 +248,7 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("kv_reclaim_limbo", func() int64 { return d.Gauges().Limbo })
 	reg.GaugeFunc("kv_reclaim_parked", func() int64 { return d.Gauges().Parked })
 	reg.GaugeFunc("kv_reclaim_free", func() int64 { return d.Gauges().Free })
+	reg.GaugeFunc("kv_reclaim_overflow", func() int64 { return d.Gauges().Overflow })
 	reg.CounterFunc("kv_reclaim_advances_total", func() int64 { return int64(d.Advances()) })
 	reg.CounterFunc("kv_reclaim_advance_attempts_total", func() int64 { return int64(d.Gauges().Attempts) })
 	reg.CounterFunc("kv_reclaim_scavenged_total", func() int64 { return int64(d.Scavenged()) })
@@ -277,7 +265,51 @@ func (s *Server) initObs() {
 		reg.CounterFunc("kv_wal_fsyncs_total", func() int64 { return lm().Fsyncs })
 		reg.CounterFunc("kv_wal_rotations_total", func() int64 { return lm().Rotations })
 		reg.GaugeFunc("kv_wal_durable_lsn", func() int64 { return int64(lm().Durable) })
+		reg.GaugeFunc("kv_wal_last_lsn", func() int64 { return int64(lm().LastLSN) })
+		reg.GaugeFunc("kv_wal_segments", func() int64 { return int64(lm().Segments) })
+		reg.GaugeFunc("kv_wal_fault", func() int64 {
+			if s.Fault() != nil {
+				return 1
+			}
+			return 0
+		})
 	}
+
+	// Contention per operation and per shard. These are families of their
+	// own rather than labels on kv_engine_*_total, whose samples consumers
+	// sum across label sets.
+	var ops []string
+	for op := range s.cont.StatsByOp() {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		for _, c := range contention {
+			reg.CounterFunc("kv_engine_op_"+c.name+"_total",
+				func() int64 { return c.get(s.cont.StatsByOp()[op]) }, obs.Label{Key: "op", Value: op})
+		}
+	}
+	if sh, ok := s.cont.(*shard.Sharded); ok {
+		sh.ForEachShard(func(i int, sc container.Container) {
+			l := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
+			reg.GaugeFunc("kv_shard_size", func() int64 { return int64(sc.Size()) }, l)
+			for _, c := range contention {
+				reg.GaugeFunc("kv_shard_"+c.name, func() int64 { return c.get(sc.EngineStats()) }, l)
+			}
+		})
+	}
+}
+
+// contention names the template-engine counters exported per container,
+// per operation and per shard. Attempts are ops + retries.
+var contention = [...]struct {
+	name string
+	get  func(template.Counters) int64
+}{
+	{"ops", func(c template.Counters) int64 { return c.Ops }},
+	{"retries", template.Counters.Retries},
+	{"llx_fails", func(c template.Counters) int64 { return c.LLXFails }},
+	{"scx_fails", func(c template.Counters) int64 { return c.SCXFails }},
 }
 
 // hotOps are the opcodes with per-op latency histograms: the data-path trio
@@ -318,7 +350,7 @@ func (s *Server) acceptLoop() {
 		}
 		backoff = 5 * time.Millisecond
 		if n := s.active.Add(1); s.cfg.MaxConns > 0 && n > int64(s.cfg.MaxConns) {
-			s.rejected.Add(1)
+			s.rejected.Inc()
 			if !s.register(c) {
 				s.active.Add(-1)
 				c.Close()
@@ -332,7 +364,7 @@ func (s *Server) acceptLoop() {
 			c.Close()
 			continue
 		}
-		s.accepted.Add(1)
+		s.accepted.Inc()
 		go s.serve(c)
 	}
 }
@@ -392,15 +424,18 @@ type connState struct {
 	w     *proto.Writer
 	batch []proto.Request
 	// served counts ops locally; foldCounters merges it into the shared
-	// padded counters once per flush boundary instead of once per op.
+	// kv_server_ops_total counters once per flush boundary instead of once
+	// per op.
 	served [proto.OpTrace + 1]int64
 	// Latency plane, all connection-local: lat holds this connection's
-	// stripe of each hot op's histogram (assigned once at accept), latPend
+	// stripe of each hot op's histogram and batchRec its stripe of the
+	// batch-size histogram (assigned once at accept), latPend
 	// counts ops awaiting the flush-boundary RecordN, t0/timed bracket the
 	// current flush interval (first batch decode → reply flush), commitWait
 	// is the interval's WAL group-commit wait, and lastRetries is the
 	// engine-retry watermark from the previous slow-op sample.
 	lat         [proto.OpTrace + 1]*obs.Recorder
+	batchRec    *obs.Recorder
 	latPend     [proto.OpTrace + 1]int64
 	t0          time.Time
 	timed       bool
@@ -441,12 +476,14 @@ func (s *Server) serve(c net.Conn) {
 		st.parts = make([]int, 0, n)
 	}
 	// Deal this connection onto one stripe of each hot op's latency
-	// histogram: concurrent flushes then usually record on distinct cache
-	// lines, and the scrape folds the stripes back together.
+	// histogram and of the batch-size histogram: concurrent flushes then
+	// usually record on distinct cache lines, and the scrape folds the
+	// stripes back together.
 	stripe := int(s.stripeSeq.Add(1))
 	for _, op := range hotOps {
 		st.lat[op] = s.opLat[op].Recorder(stripe)
 	}
+	st.batchRec = s.batchOps.Recorder(stripe)
 	st.lastRetries = s.cont.EngineStats().Retries()
 
 	for {
@@ -467,9 +504,7 @@ func (s *Server) serve(c net.Conn) {
 				st.t0 = time.Now()
 				st.timed = true
 			}
-			s.batches.n.Add(1)
-			s.batchOps.n.Add(int64(n))
-			s.batchHist[bits.Len(uint(n-1))].Add(1)
+			st.batchRec.Record(int64(n))
 			if herr := s.serveBatch(st); herr != nil {
 				break
 			}
@@ -481,7 +516,7 @@ func (s *Server) serve(c net.Conn) {
 				// were served above, and their buffered replies still go
 				// out below — after their records are committed, if
 				// durable.
-				s.protoErrs.Add(1)
+				s.protoErrs.Inc()
 				if s.dur == nil || s.commitPend(st) == nil {
 					st.w.WriteErr(err.Error())
 				}
@@ -508,7 +543,7 @@ func (s *Server) serve(c net.Conn) {
 			// Record before the flush hits the socket: once the client has
 			// the replies, the scrape already has the samples.
 			s.observeFlush(st)
-			s.flushes.n.Add(1)
+			s.flushes.Inc()
 			if err := st.w.Flush(); err != nil {
 				break
 			}
@@ -540,7 +575,7 @@ func (s *Server) serve(c net.Conn) {
 	}
 	if !st.dead {
 		c.SetWriteDeadline(time.Now().Add(flushTimeout))
-		s.flushes.n.Add(1)
+		s.flushes.Inc()
 		st.w.Flush()
 	}
 	c.Close()
@@ -600,7 +635,7 @@ func (s *Server) opSize(st *connState, _ int64) error {
 func (s *Server) opStats(st *connState, _ int64) error {
 	s.foldCounters(st) // STATS should see this batch's ops
 	var b strings.Builder
-	s.WriteMetrics(&b)
+	s.reg.WriteText(&b)
 	return st.w.WriteBulk([]byte(b.String()))
 }
 
@@ -676,13 +711,13 @@ func (s *Server) serveBatch(st *connState) error {
 }
 
 // foldCounters merges the connection's local per-op counts into the shared
-// padded counters. Called at flush boundaries, on STATS, and at connection
+// kv_server_ops_total counters. Called at flush boundaries, on STATS, and at connection
 // exit — so shared-counter traffic is per batch, not per op, and /metrics
 // lags a connection's in-flight batch by at most one flush.
 func (s *Server) foldCounters(st *connState) {
 	for op := range st.served {
 		if n := st.served[op]; n != 0 {
-			s.served[op].n.Add(n)
+			s.served[op].Add(n)
 			st.latPend[op] += n
 			st.served[op] = 0
 		}
@@ -790,132 +825,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.acceptWG.Wait()
 	return err
-}
-
-// Metrics is a point-in-time snapshot of the server's own counters (the
-// container's engine counters are reported separately; see WriteMetrics).
-type Metrics struct {
-	ActiveConns   int64
-	AcceptedConns int64
-	RejectedConns int64
-	ServedByOp    map[string]int64
-	ServedTotal   int64
-	Flushes       int64
-	ProtoErrors   int64
-	// Batches counts decoded request batches; BatchedOps is the total of
-	// their sizes (avg batch size = BatchedOps/Batches, flushes per op =
-	// Flushes/ServedTotal — the two amortization ratios the batched hot
-	// path exists to improve). BatchHist[i] counts batches whose size lies
-	// in (2^(i-1), 2^i].
-	Batches    int64
-	BatchedOps int64
-	BatchHist  [batchHistBuckets]int64
-}
-
-// Metrics snapshots the server counters.
-func (s *Server) Metrics() Metrics {
-	m := Metrics{
-		ActiveConns:   s.active.Load(),
-		AcceptedConns: s.accepted.Load(),
-		RejectedConns: s.rejected.Load(),
-		Flushes:       s.flushes.n.Load(),
-		ProtoErrors:   s.protoErrs.Load(),
-		Batches:       s.batches.n.Load(),
-		BatchedOps:    s.batchOps.n.Load(),
-		ServedByOp:    make(map[string]int64),
-	}
-	for op := proto.OpPing; op <= proto.OpTrace; op++ {
-		if n := s.served[op].n.Load(); n > 0 {
-			m.ServedByOp[op.String()] = n
-		}
-		m.ServedTotal += s.served[op].n.Load()
-	}
-	for i := range s.batchHist {
-		m.BatchHist[i] = s.batchHist[i].Load()
-	}
-	return m
-}
-
-// WriteMetrics renders the full text metrics dump: server connection and
-// op counters, the container's size and template-engine counters, the
-// per-operation breakdown, and — when the container is sharded — the
-// per-shard table. This is what the STATS command and cmd/server's
-// -metrics endpoint serve.
-func (s *Server) WriteMetrics(w io.Writer) {
-	m := s.Metrics()
-	fmt.Fprintf(w, "server: conns active=%d accepted=%d rejected=%d\n",
-		m.ActiveConns, m.AcceptedConns, m.RejectedConns)
-	fmt.Fprintf(w, "server: ops served=%d flushes=%d proto_errors=%d\n",
-		m.ServedTotal, m.Flushes, m.ProtoErrors)
-	if m.Batches > 0 {
-		avg := float64(m.BatchedOps) / float64(m.Batches)
-		fpo := 0.0
-		if m.ServedTotal > 0 {
-			fpo = float64(m.Flushes) / float64(m.ServedTotal)
-		}
-		fmt.Fprintf(w, "server: batches=%d batched_ops=%d avg_batch=%.2f flushes_per_op=%.4f\n",
-			m.Batches, m.BatchedOps, avg, fpo)
-		// Batch-size distribution, log2 buckets: "le<N>=<count>" counts
-		// batches of at most N requests (and more than the previous bucket).
-		fmt.Fprintf(w, "server: batch_size_hist")
-		for i, n := range m.BatchHist {
-			if n > 0 {
-				fmt.Fprintf(w, " le%d=%d", 1<<i, n)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	ops := make([]string, 0, len(m.ServedByOp))
-	for op := range m.ServedByOp {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		fmt.Fprintf(w, "server: op %-5s %d\n", op, m.ServedByOp[op])
-	}
-	if s.dur != nil {
-		lm := s.dur.Log.Metrics()
-		fmt.Fprintf(w, "wal: appends=%d commits=%d fsyncs=%d rotations=%d segments=%d last_lsn=%d durable_lsn=%d\n",
-			lm.Appends, lm.Commits, lm.Fsyncs, lm.Rotations, lm.Segments, lm.LastLSN, lm.Durable)
-		if err := s.Fault(); err != nil {
-			fmt.Fprintf(w, "wal: FAULT %v\n", err)
-		}
-	}
-	fmt.Fprintf(w, "container: size=%d\n", s.cont.Size())
-	eng := s.cont.EngineStats()
-	fmt.Fprintf(w, "engine: ops=%d attempts=%d retries=%d llx_fails=%d scx_fails=%d\n",
-		eng.Ops, eng.Attempts, eng.Retries(), eng.LLXFails, eng.SCXFails)
-	g := reclaim.Default.Gauges()
-	fmt.Fprintf(w, "reclaim: epoch=%d lag=%d active=%d overflow=%d advances=%d attempts=%d scavenged=%d limbo=%d parked=%d free=%d\n",
-		g.Epoch, g.OldestLag, g.ActiveSlots, g.Overflow, g.Advances, g.Attempts, g.Scavenged, g.Limbo, g.Parked, g.Free)
-	s.reg.WriteHistText(w)
-
-	if byOp := s.cont.StatsByOp(); len(byOp) > 0 {
-		tb := stats.NewTable("engine contention by operation",
-			"op", "ops", "attempts", "retries/op", "llx-fail%", "scx-fail%")
-		names := make([]string, 0, len(byOp))
-		for name := range byOp {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := byOp[name]
-			tb.AddRow(append([]any{name},
-				stats.ContentionRow(c.Ops, c.Attempts, c.LLXFails, c.SCXFails)...)...)
-		}
-		tb.WriteTo(w)
-	}
-
-	if sh, ok := s.cont.(*shard.Sharded); ok {
-		tb := stats.NewTable("contention by shard",
-			"shard", "size", "ops", "attempts", "retries/op", "llx-fail%", "scx-fail%")
-		sh.ForEachShard(func(i int, c container.Container) {
-			cnt := c.EngineStats()
-			tb.AddRow(append([]any{i, c.Size()},
-				stats.ContentionRow(cnt.Ops, cnt.Attempts, cnt.LLXFails, cnt.SCXFails)...)...)
-		})
-		tb.WriteTo(w)
-	}
 }
 
 // WriteTrace renders the slow-op trace ring, newest first: one header line

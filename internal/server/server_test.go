@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +71,7 @@ func TestServerBasicOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	for _, want := range []string{"server: conns", "server: batches=", "server: batch_size_hist", "container: size=", "engine: ops="} {
+	for _, want := range []string{"kv_server_conns_active ", "kv_server_batches_total ", "kv_server_batch_ops count=", "kv_container_size ", "kv_engine_ops_total "} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("stats dump missing %q:\n%s", want, txt)
 		}
@@ -144,6 +145,9 @@ func TestServerMalformedFrame(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("ping after malformed peer: %v", err)
 	}
+	if n := s.Registry().Sum("kv_server_proto_errors_total"); n != 1 {
+		t.Errorf("kv_server_proto_errors_total = %d, want 1", n)
+	}
 }
 
 // TestServerMaxConns pins the connection-limit backpressure: the connection
@@ -171,6 +175,63 @@ func TestServerMaxConns(t *testing.T) {
 	}
 	if rep.Status != proto.StatusErr || !strings.Contains(string(rep.Bulk), "connection limit") {
 		t.Fatalf("rejection reply: %+v", rep)
+	}
+	if n := s.Registry().Sum("kv_server_conns_rejected_total"); n != 1 {
+		t.Errorf("kv_server_conns_rejected_total = %d, want 1", n)
+	}
+}
+
+// TestServerShardedStats checks the contention tables of a sharded server
+// in the STATS text view once the load is quiescent: one kv_shard_size
+// sample per shard, summing to kv_container_size, and per-op engine counts
+// summing to the container's kv_engine_ops_total.
+func TestServerShardedStats(t *testing.T) {
+	const shards, keys = 4, 64
+	sh := shard.New(shards, func(int) container.Container { return container.Multiset(multiset.New[int]()) })
+	s, err := server.Start(sh, server.Config{})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer shutdownNow(t, s)
+	cl, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	for k := 0; k < keys; k++ {
+		if applied, err := cl.Set(k); err != nil || !applied {
+			t.Fatalf("set %d: %v, %v", k, applied, err)
+		}
+	}
+	txt, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	sum := func(prefix string) (total int64, n int) {
+		for _, line := range strings.Split(txt, "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				f := strings.Fields(rest)
+				v, err := strconv.ParseInt(f[len(f)-1], 10, 64)
+				if err != nil {
+					t.Fatalf("stats line %q: %v", line, err)
+				}
+				total += v
+				n++
+			}
+		}
+		return total, n
+	}
+	size, _ := sum("kv_container_size ")
+	shardSize, n := sum("kv_shard_size{")
+	if n != shards || size != keys || shardSize != size {
+		t.Errorf("%d kv_shard_size samples summing to %d, kv_container_size %d; want %d summing to %d:\n%s",
+			n, shardSize, size, shards, keys, txt)
+	}
+	ops, _ := sum("kv_engine_ops_total ")
+	opOps, n := sum("kv_engine_op_ops_total{")
+	if n == 0 || ops < keys || opOps != ops {
+		t.Errorf("kv_engine_op_ops_total: %d samples summing to %d, kv_engine_ops_total %d (want >= %d):\n%s",
+			n, opOps, ops, keys, txt)
 	}
 }
 

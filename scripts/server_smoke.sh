@@ -4,11 +4,11 @@
 # structures from the server's own registry (server -list), then for a
 # keyed structure from each family — the LLX/SCX multiset and the lock-free
 # hash map — start the server, drive it with the load generator for one
-# second, scrape the -metrics HTTP endpoint (both the text dump and the
+# second, scrape the -metrics HTTP endpoint (both the text view and the
 # Prometheus exposition, which loadgen parses with the in-repo parser and
-# renders as a server-vs-client latency table), dump the slow-op trace
-# endpoint, send SIGTERM, and assert the server drains and exits cleanly
-# (status 0).
+# renders as a server-vs-client latency table), check the text view carries
+# the server, engine and reclaim families, dump the slow-op trace endpoint,
+# send SIGTERM, and assert the server drains and exits cleanly (status 0).
 set -eu
 
 PORT=$((17000 + $$ % 1000))
@@ -20,6 +20,14 @@ cleanup() {
     rm -rf "$TMP"
 }
 trap cleanup EXIT
+
+fetch() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -fsS "$1"
+    else
+        wget -qO- "$1"
+    fi
+}
 
 echo "server-smoke: building"
 go build -o "$TMP/server" ./cmd/server
@@ -59,12 +67,18 @@ for STRUCT in llx-multiset hashmap; do
         exit 1
     }
 
+    echo "server-smoke: checking the text /metrics view"
+    fetch "http://127.0.0.1:$MPORT/metrics" >"$TMP/metrics.txt"
+    for family in kv_server_ops_total kv_engine_ops_total kv_reclaim_epoch; do
+        grep -Eq "^$family[{ ]" "$TMP/metrics.txt" || {
+            echo "server-smoke: FAILED: text /metrics has no $family sample" >&2
+            cat "$TMP/metrics.txt" >&2
+            exit 1
+        }
+    done
+
     echo "server-smoke: dumping the slow-op trace endpoint"
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "http://127.0.0.1:$MPORT/trace" | head -5
-    else
-        wget -qO- "http://127.0.0.1:$MPORT/trace" | head -5
-    fi
+    fetch "http://127.0.0.1:$MPORT/trace" | head -5
 
     echo "server-smoke: SIGTERM, expecting clean drain"
     kill -TERM "$SERVER_PID"
